@@ -1039,10 +1039,11 @@ let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
             else 100.0 *. float_of_int r.E.cache_hits /. float_of_int evals
           in
           Printf.eprintf
-            "explore: %d point(s), %d evaluation(s): %d hit(s), %d miss(es) \
-             (%.1f%% hit rate)\n"
+            "explore: %d point(s), %d evaluation(s): %d hit(s), %d miss(es), \
+             %d shared (%.1f%% hit rate)\n"
             (Array.length r.E.points)
-            evals r.E.cache_hits r.E.cache_misses rate;
+            evals r.E.cache_hits r.E.cache_misses
+            r.E.cache_stats.Bisram_explore.Cache.st_shared rate;
           (let cs = r.E.cache_stats in
            let module C = Bisram_explore.Cache in
            if

@@ -8,16 +8,25 @@ let version = "bisram-explore-cache/2"
 type stats = {
   st_hits : int;
   st_misses : int;
+  st_shared : int;
   st_quarantined : int;
   st_reaped_tmp : int;
   st_io_errors : int;
 }
 
+(* One in-run result: the entry bytes, their normalized value, and
+   whether the bytes reached the disk (a failed store is retried by the
+   next use of the key). *)
+type in_run = { bytes : string; value : J.t; stored : bool Atomic.t }
+
 type t = {
   dir : string option;
   resume : bool;
+  table : (string, in_run) Hashtbl.t;
+  lock : Mutex.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
+  shared : int Atomic.t;
   quarantined : int Atomic.t;
   reaped_tmp : int Atomic.t;
   io_errors : int Atomic.t;
@@ -63,8 +72,11 @@ let create ?dir ~resume () =
   end;
   { dir
   ; resume
+  ; table = Hashtbl.create 64
+  ; lock = Mutex.create ()
   ; hits = Atomic.make 0
   ; misses = Atomic.make 0
+  ; shared = Atomic.make 0
   ; quarantined = Atomic.make 0
   ; reaped_tmp = Atomic.make reaped
   ; io_errors = Atomic.make 0
@@ -176,10 +188,11 @@ let normalize key s =
 
 (* Store failures (ENOSPC, EIO, a full temp dir, injected chaos) never
    surface to the caller: the value was computed, the run continues
-   uncached, and the counter records that the disk lost an entry. *)
+   uncached, and the counter records that the disk lost an entry.
+   Returns whether the entry is on disk (trivially so without one). *)
 let store t key s =
   match path_of t key with
-  | None -> ()
+  | None -> true
   | Some path -> (
       let dir = Option.get t.dir in
       match
@@ -195,10 +208,11 @@ let store t key s =
           (try Sys.remove tmp with Sys_error _ -> ());
           raise e
       with
-      | () -> ()
+      | () -> true
       | exception Sys_error _ ->
           Atomic.incr t.io_errors;
-          Obs.incr "cache.io_errors")
+          Obs.incr "cache.io_errors";
+          false)
 
 let memo t ~key compute =
   match lookup t key with
@@ -209,15 +223,27 @@ let memo t ~key compute =
         Events.emit ~level:Events.Debug ~domain:"cache" "cache.hit"
           [ ("key", J.String key) ];
       v
-  | None ->
+  | None -> (
       Atomic.incr t.misses;
       Obs.incr "cache.misses";
       if Events.would_log Events.Debug then
         Events.emit ~level:Events.Debug ~domain:"cache" "cache.miss"
           [ ("key", J.String key) ];
-      let s = entry_string key (compute ()) in
-      store t key s;
-      normalize key s
+      match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table key) with
+      | Some e ->
+          Atomic.incr t.shared;
+          if (not (Atomic.get e.stored)) && store t key e.bytes then
+            Atomic.set e.stored true;
+          e.value
+      | None ->
+          (* two workers may get here for the same key at once; the
+             evaluators are pure, so both compute the same bytes *)
+          let bytes = entry_string key (compute ()) in
+          let stored = Atomic.make (store t key bytes) in
+          let value = normalize key bytes in
+          Mutex.protect t.lock (fun () ->
+              Hashtbl.replace t.table key { bytes; value; stored });
+          value)
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
@@ -225,6 +251,7 @@ let misses t = Atomic.get t.misses
 let stats t =
   { st_hits = Atomic.get t.hits
   ; st_misses = Atomic.get t.misses
+  ; st_shared = Atomic.get t.shared
   ; st_quarantined = Atomic.get t.quarantined
   ; st_reaped_tmp = Atomic.get t.reaped_tmp
   ; st_io_errors = Atomic.get t.io_errors

@@ -33,8 +33,7 @@ let geometry org (a : Compiler.area_report) =
       ~logic_fraction:(a.Compiler.logic_mm2 /. a.Compiler.module_mm2)
       ~growth_factor:(max 1.0 a.Compiler.growth_factor)
 
-let area_json (d : Compiler.t) =
-  let a = d.Compiler.area in
+let area_json (a : Compiler.area_report) =
   J.Obj
     [ ("module_mm2", J.Float a.Compiler.module_mm2)
     ; ("base_module_mm2", J.Float a.Compiler.base_module_mm2)
@@ -46,8 +45,8 @@ let area_json (d : Compiler.t) =
     ; ("logic_fraction", J.Float (a.Compiler.logic_mm2 /. a.Compiler.module_mm2))
     ]
 
-let yield_json (p : Spec.point) (d : Compiler.t) =
-  let g = geometry p.Spec.org d.Compiler.area in
+let yield_json (p : Spec.point) (a : Compiler.area_report) =
+  let g = geometry p.Spec.org a in
   let y = Repairable.yield g ~mean_defects:p.Spec.mean_defects ~alpha:p.Spec.alpha in
   let yp = Repairable.yield_poisson g ~mean_defects:p.Spec.mean_defects in
   let bare =
@@ -77,8 +76,7 @@ let yield_json (p : Spec.point) (d : Compiler.t) =
      ]
     @ two_d)
 
-let cost_json (spec : Spec.t) (p : Spec.point) (d : Compiler.t) =
-  let a = d.Compiler.area in
+let cost_json (spec : Spec.t) (p : Spec.point) (a : Compiler.area_report) =
   let chip = spec.Spec.chip in
   let params =
     { Mpr.spares = p.Spec.org.Org.spares
@@ -182,10 +180,10 @@ let campaign_json (spec : Spec.t) (p : Spec.point) =
         ])
   end
 
-let compute spec p design = function
-  | "area" -> area_json (Lazy.force design)
-  | "yield" -> yield_json p (Lazy.force design)
-  | "cost" -> cost_json spec p (Lazy.force design)
+let compute spec p ~area_of = function
+  | "area" -> area_json (area_of p)
+  | "yield" -> yield_json p (area_of p)
+  | "cost" -> cost_json spec p (area_of p)
   | "reliability" -> reliability_json p
   | "campaign" -> campaign_json spec p
   | e -> invalid_arg ("Explore: unknown evaluator " ^ e)
@@ -204,6 +202,22 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
     ; ("jobs", J.Int jobs)
     ; ("cached", J.Bool (cache_dir <> None))
     ];
+  (* the area report of every design compiled in this run, keyed like
+     the area evaluator (the full compile input): a design is compiled
+     only when an evaluator that needs it is computed, and then once per
+     run; only the small report is kept, so each layout dies with its
+     compile *)
+  let areas = Hashtbl.create 16 and areas_lock = Mutex.create () in
+  let area_of p =
+    let key = Spec.cache_key spec p ~evaluator:"area" in
+    match Mutex.protect areas_lock (fun () -> Hashtbl.find_opt areas key) with
+    | Some a -> a
+    | None ->
+        let d = Compiler.compile (Spec.config_of_point spec p) in
+        let a = d.Compiler.area in
+        Mutex.protect areas_lock (fun () -> Hashtbl.replace areas key a);
+        a
+  in
   (* live progress: one tick per completed point, pushed from the
      completing worker's domain; write-only, never read by the report *)
   let prog_done = Atomic.make 0 in
@@ -217,17 +231,14 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
     let p = points.(i) in
     Obs.span ~cat:"explore" ~arg:("point", i) "point" (fun () ->
         Obs.incr "explore.points";
-        (* one lazily compiled design per point, shared by the area,
-           yield and cost evaluators; never forced when all three hit
-           the cache *)
-        let design = lazy (Compiler.compile (Spec.config_of_point spec p)) in
         let evs =
           List.map
             (fun ev ->
               let key = Spec.cache_key spec p ~evaluator:ev in
               let v =
                 Obs.span ~cat:"explore" ~arg:("point", i) ev (fun () ->
-                    Cache.memo cache ~key (fun () -> compute spec p design ev))
+                    Cache.memo cache ~key (fun () ->
+                        compute spec p ~area_of ev))
               in
               (ev, v))
             spec.Spec.evaluators
@@ -254,10 +265,12 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
   Obs.add "explore.cache_hits" (Cache.hits cache);
   Obs.add "explore.cache_misses" (Cache.misses cache);
   let st = Cache.stats cache in
+  Obs.add "explore.cache_shared" st.Cache.st_shared;
   Events.emit ~domain:"explore" "run.end"
     [ ("points", J.Int (Array.length points))
     ; ("cache_hits", J.Int st.Cache.st_hits)
     ; ("cache_misses", J.Int st.Cache.st_misses)
+    ; ("cache_shared", J.Int st.Cache.st_shared)
     ; ("cache_quarantined", J.Int st.Cache.st_quarantined)
     ];
   { spec; points; evals; skipped

@@ -23,7 +23,10 @@
       {!Bisram_campaign.Campaign} run (simulable organizations only).
 
     Points are fanned out over {!Bisram_parallel.Pool} and merged in
-    lattice order; every evaluation is memoized through {!Cache}, and
+    lattice order; every evaluation is memoized through {!Cache} (on
+    disk, and in memory for the rest of the run, so a key several
+    points share is evaluated once per run; likewise each design is
+    compiled at most once per run), and
     both the fan-out and the cache normalize values identically — so
     the ["bisram-explore/1"] report is byte-identical at any job count,
     cache-cold or cache-warm.  Per-point and per-evaluator phase spans
@@ -36,11 +39,13 @@ type result = {
   evals : (string * Bisram_obs.Json.t) list array;
       (** per point: (evaluator id, normalized result), spec order *)
   skipped : int;  (** invalid lattice combinations *)
-  cache_hits : int;
+  cache_hits : int;  (** evaluations served from disk *)
   cache_misses : int;
+      (** evaluations not served from disk: computed, or shared from
+          earlier in the run ([cache_stats.st_shared]) *)
   cache_stats : Cache.stats;
-      (** full self-heal counters (quarantines, reaped temp files, IO
-          errors) for the run's cache instance *)
+      (** in-run sharing and the full self-heal counters (quarantines,
+          reaped temp files, IO errors) for the run's cache instance *)
 }
 
 (** Run the sweep.  [jobs] (default 1) fans points over that many

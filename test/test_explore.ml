@@ -239,6 +239,66 @@ let test_chaos_write_failure_degrades () =
       Alcotest.(check int) "no entry written" 0 (count_suffix dir ".json"))
 
 (* ------------------------------------------------------------------ *)
+(* golden Fig. 4 report and in-run sharing *)
+
+(* The paper's Fig. 4 sweep (the spec defaults: 4096 words, bpw 4,
+   bpc 4, spares 0/4/8/16, mean defects 0.5/1/2/5/10, alpha 2, lambda
+   1e-10).  The golden file is the CLI report captured before results
+   were shared within a run and before the reliability coefficients
+   were tabulated; every cache temperature must still reproduce it. *)
+let test_golden_fig4 () =
+  let spec =
+    match Spec.of_string "" with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let golden =
+    In_channel.with_open_bin "golden_explore_fig4.json" In_channel.input_all
+  in
+  Alcotest.(check string) "diskless, jobs 1" golden
+    (Explore.pretty_json_string (Explore.run ~jobs:1 spec));
+  let dir = temp_cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      Alcotest.(check string) "cold cache, jobs 2" golden
+        (Explore.pretty_json_string
+           (Explore.run ~jobs:2 ~cache_dir:dir spec));
+      let warm = Explore.run ~jobs:1 ~cache_dir:dir ~resume:true spec in
+      Alcotest.(check string) "resumed" golden (Explore.pretty_json_string warm);
+      Alcotest.(check int) "resumed run hits everything"
+        (Explore.evaluations warm) warm.Explore.cache_hits)
+
+let distinct_keys s =
+  let points, _ = Spec.expand s in
+  Array.to_list points
+  |> List.concat_map (fun p ->
+         List.map
+           (fun ev -> Spec.cache_key s p ~evaluator:ev)
+           s.Spec.evaluators)
+  |> List.sort_uniq String.compare
+  |> List.length
+
+let test_in_run_sharing () =
+  let s = tiny_spec () in
+  let distinct = distinct_keys s in
+  let dir = temp_cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let r = Explore.run ~jobs:1 ~cache_dir:dir s in
+      let shared = r.Explore.cache_stats.Cache.st_shared in
+      Alcotest.(check bool) "the lattice repeats keys" true
+        (distinct < Explore.evaluations r);
+      Alcotest.(check int) "shared = evaluations - distinct keys"
+        (Explore.evaluations r - distinct) shared;
+      Alcotest.(check int) "one entry on disk per distinct key" distinct
+        (count_suffix dir ".json");
+      (* the table belongs to the run: a second run in the same process
+         starts empty and shares exactly as much again *)
+      let again = Explore.run ~jobs:1 s in
+      Alcotest.(check int) "second run shares the same" shared
+        again.Explore.cache_stats.Cache.st_shared)
+
+(* ------------------------------------------------------------------ *)
 (* report shape *)
 
 let test_report_roundtrip () =
@@ -336,6 +396,10 @@ let () =
             test_chaos_cache_corruption_heals
         ; Alcotest.test_case "write failure degrades to uncached" `Quick
             test_chaos_write_failure_degrades
+        ] )
+    ; ( "sharing",
+        [ Alcotest.test_case "golden Fig. 4 report" `Quick test_golden_fig4
+        ; Alcotest.test_case "in-run sharing" `Quick test_in_run_sharing
         ] )
     ; ( "pareto",
         [ Alcotest.test_case "frontier" `Quick test_pareto_frontier

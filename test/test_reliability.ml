@@ -107,6 +107,60 @@ let prop_reliability_unit_interval =
       let r = Rel.reliability (cfg s) t in
       r >= 0.0 && r <= 1.0)
 
+(* The library's tabulated coefficients must reproduce the per-call
+   formula of Rel_reference exactly: MTTF values are compared against
+   cached reports and re-derived figures, so "close" is not enough. *)
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rel_config_gen =
+  QCheck.Gen.(
+    map
+      (fun (words, bpw, spare_words, log_l) ->
+        { Rel.words; bpw; spare_words; lambda = 10.0 ** log_l })
+      (quad (int_range 1 4096) (int_range 1 64) (int_range 0 64)
+         (float_range (-11.0) (-7.0))))
+
+let rel_case_gen =
+  QCheck.Gen.(
+    pair
+      (pair rel_config_gen (int_range 0 64))
+      (list_size (int_range 1 8) (float_range 0.0 12.0)))
+
+let print_rel_case (((c : Rel.config), other), log_ts) =
+  Printf.sprintf
+    "{words=%d; bpw=%d; spare_words=%d; lambda=%h} other=%d ts=[%s]"
+    c.Rel.words c.Rel.bpw c.Rel.spare_words c.Rel.lambda other
+    (String.concat "; " (List.map (Printf.sprintf "%h") log_ts))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"reliability/mttf/crossover bit-identical to reference"
+    ~count:20
+    (QCheck.make ~print:print_rel_case rel_case_gen)
+    (fun ((c, other), log_ts) ->
+      (* t = 0 and log-uniform ages from 1 h to 1e12 h *)
+      let ts = 0.0 :: List.map (fun e -> 10.0 ** e) log_ts in
+      let r_ok =
+        List.for_all
+          (fun t ->
+            same_bits (Rel.reliability c t) (Rel_reference.reliability c t))
+          ts
+      in
+      let m = Rel.mttf c in
+      let m_ok = same_bits m (Rel_reference.mttf c) in
+      let b = { c with Rel.spare_words = other } in
+      let t1 = 20.0 *. m in
+      let x_ok =
+        match
+          ( Rel.crossover c b ~t0:1.0 ~t1 ~steps:400
+          , Rel_reference.crossover c b ~t0:1.0 ~t1 ~steps:400 )
+        with
+        | None, None -> true
+        | Some x, Some y -> same_bits x y
+        | _ -> false
+      in
+      r_ok && m_ok && x_ok)
+
 let () =
   Alcotest.run "reliability"
     [ ( "reliability",
@@ -125,5 +179,6 @@ let () =
             test_lambda_rejected
         ; QCheck_alcotest.to_alcotest prop_reliability_unit_interval
         ; QCheck_alcotest.to_alcotest prop_mttf_decreasing_in_lambda
+        ; QCheck_alcotest.to_alcotest prop_matches_reference
         ] )
     ]
