@@ -1,5 +1,6 @@
 module Model = Bisram_sram.Model
 module Org = Bisram_sram.Org
+module Word = Bisram_sram.Word
 module March = Bisram_bist.March
 module Engine = Bisram_bist.Engine
 module Controller = Bisram_bist.Controller
@@ -23,12 +24,24 @@ let fresh_tlb model =
   let org = Model.org model in
   Tlb.create ~spares:org.Org.spares ~regular_rows:(Org.rows org)
 
-let run model test ~backgrounds =
+let run ?controller model test ~backgrounds =
+  let words = (Model.org model).Org.words in
+  let ctl =
+    match controller with
+    | None -> Controller.compile test ~words ~backgrounds
+    | Some ctl ->
+        let same_bg a b = Word.width a = Word.width b && Word.equal a b in
+        if Controller.words ctl <> words then
+          invalid_arg "Repair.run: controller compiled for another word count";
+        if not (March.equal (Controller.test ctl) test) then
+          invalid_arg "Repair.run: controller compiled for another march";
+        if not (List.equal same_bg (Controller.backgrounds ctl) backgrounds)
+        then
+          invalid_arg "Repair.run: controller compiled for other backgrounds";
+        ctl
+  in
   let tlb = fresh_tlb model in
   Model.set_remap model None;
-  let ctl =
-    Controller.compile test ~words:(Model.org model).Org.words ~backgrounds
-  in
   let hooks = hooks_of_tlb tlb model in
   let in_pass2 = ref false in
   let hooks =

@@ -24,8 +24,15 @@ val hooks_of_tlb :
     from the model's organization, compiles the controller for the
     march test and backgrounds, and executes both passes.  Returns the
     outcome, the controller report and the TLB (left installed in the
-    model on success, so normal-mode accesses are diverted). *)
+    model on success, so normal-mode accesses are diverted).
+
+    [?controller] skips the compile: a controller compiled once for
+    this march and these backgrounds serves every call (the campaign
+    compiles one per domain).
+    @raise Invalid_argument if its word count differs from the model's,
+    its march from [test] or its backgrounds from [backgrounds]. *)
 val run :
+  ?controller:Bisram_bist.Controller.t ->
   Bisram_sram.Model.t ->
   Bisram_bist.March.t ->
   backgrounds:Bisram_sram.Word.t list ->

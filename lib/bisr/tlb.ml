@@ -19,6 +19,13 @@ let is_full t = t.next_spare >= t.spares
 let find t row =
   List.find_opt (fun e -> e.logical_row = row) t.entries
 
+(* The CAM lookup on the access path: the newest entry's spare for
+   [row], or -1.  A plain recursion (no closure, no option) so a
+   remapped access allocates nothing. *)
+let rec spare_index row = function
+  | [] -> -1
+  | e :: rest -> if e.logical_row = row then e.spare else spare_index row rest
+
 let spare_of t ~row = Option.map (fun e -> e.spare) (find t row)
 
 let mapped_rows t =
@@ -43,13 +50,11 @@ let record t ~row =
   if row < 0 || row >= t.regular_rows then invalid_arg "Tlb.record: bad row";
   match find t row with Some _ -> `Ok | None -> alloc t row
 
-let would_overflow t ~row =
-  match find t row with Some _ -> false | None -> is_full t
+let would_overflow t ~row = spare_index row t.entries < 0 && is_full t
 
 let remap t ~row =
-  match find t row with
-  | Some e -> t.regular_rows + e.spare
-  | None -> row
+  let k = spare_index row t.entries in
+  if k < 0 then row else t.regular_rows + k
 
 let remap_spare t ~row =
   match find t row with

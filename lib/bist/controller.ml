@@ -51,12 +51,18 @@ let all_actions =
   ; Reset_background; Enable_remap
   ]
 
-let action_index a =
+let index_in l a =
   let rec find i = function
     | [] -> assert false
     | x :: rest -> if x = a then i else find (i + 1) rest
   in
-  find 0 all_actions
+  find 0 l
+
+let action_index = index_in all_actions
+let cond_index = index_in all_conds
+let n_conds = List.length all_conds
+let n_actions = List.length all_actions
+let mask_of_actions = List.fold_left (fun m a -> m lor (1 lsl action_index a)) 0
 
 let is_work_action = function
   | Apply_read | Apply_write | Data_complement | Addr_reset_up
@@ -73,6 +79,20 @@ type sdef = {
   next : (cond -> bool) -> action list * int;
 }
 
+(* The dense PLA image {!run} executes.  [work_mask.(s)] is state [s]'s
+   work-action mask; its transition samples only the conditions
+   [used.(s)] (its [uses]), so its successor entries are
+   [table.(offset.(s) + k)] for every assignment [k] of those
+   conditions (bit [i] of [k] = [used.(s).(i)]), each packing
+   [(next lsl n_actions) lor exit_mask].  Masks are over
+   [action_index]. *)
+type image = {
+  work_mask : int array;
+  used : cond array array;
+  offset : int array;
+  table : int array;
+}
+
 type t = {
   test : March.t;
   words : int;
@@ -80,12 +100,49 @@ type t = {
       (* empty for layout-only controllers ({!compile_layout}) *)
   n_backgrounds : int;
   states : sdef array;
+  image : image option Atomic.t;
+      (* built on the first {!run}: layout and area flows compile
+         controllers they never execute *)
   idle : int;
   done_ok : int;
   fail : int;
 }
 
 type report = { outcome : outcome; cycles : int; faults_recorded : int }
+
+(* Tabulate each state's [next] over every assignment of the conditions
+   it [uses]; an unused condition reads false (the symbolic [next] must
+   not depend on it — the test suite checks all 2^n_conds
+   assignments). *)
+let image_of_states states =
+  let used = Array.map (fun s -> Array.of_list s.uses) states in
+  let offset = Array.make (Array.length states) 0 in
+  let size = ref 0 in
+  Array.iteri
+    (fun id u ->
+      offset.(id) <- !size;
+      size := !size + (1 lsl Array.length u))
+    used;
+  let table = Array.make !size 0 in
+  Array.iteri
+    (fun id s ->
+      for k = 0 to (1 lsl List.length s.uses) - 1 do
+        let env c =
+          match List.find_index (( = ) c) s.uses with
+          | Some i -> k land (1 lsl i) <> 0
+          | None -> false
+        in
+        let exits, next = s.next env in
+        List.iter (fun a -> assert (not (is_work_action a))) exits;
+        table.(offset.(id) + k) <-
+          (next lsl n_actions) lor mask_of_actions exits
+      done)
+    states;
+  { work_mask = Array.map (fun s -> mask_of_actions s.work) states
+  ; used
+  ; offset
+  ; table
+  }
 
 let reset_action = function
   | March.Down -> Addr_reset_down
@@ -245,7 +302,16 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
   Array.iter
     (fun s -> List.iter (fun a -> assert (is_work_action a)) s.work)
     states;
-  { test; words; backgrounds; n_backgrounds; states; idle; done_ok; fail }
+  { test
+  ; words
+  ; backgrounds
+  ; n_backgrounds
+  ; states
+  ; image = Atomic.make None
+  ; idle
+  ; done_ok
+  ; fail
+  }
 
 let compile test ~words ~backgrounds =
   compile_gen test ~words ~backgrounds
@@ -281,6 +347,10 @@ type datapath = {
 let make_datapath t model hooks =
   if t.backgrounds = [] then
     invalid_arg "Controller.run: layout-only controller (no backgrounds)";
+  (* the width guard, once per run: the executors compare packed ints *)
+  let bpw = (Model.org model).Org.bpw in
+  if List.exists (fun b -> Word.width b <> bpw) t.backgrounds then
+    invalid_arg "Controller.run: background width differs from the model's bpw";
   Model.clear model;
   { model
   ; hooks
@@ -357,69 +427,157 @@ let cycle_budget t =
   in
   (8 * (per_pass + 100) * 2) + 1000
 
+let bit a = 1 lsl action_index a
+let w_read = bit Apply_read
+let w_write = bit Apply_write
+let w_compl = bit Data_complement
+let w_reset_up = bit Addr_reset_up
+let w_reset_down = bit Addr_reset_down
+let w_wait = bit Request_wait
+let x_step = bit Addr_step
+let x_record = bit Record_row
+let x_next_bg = bit Next_background
+let x_reset_bg = bit Reset_background
+let x_remap = bit Enable_remap
+
+(* Two domains racing on a fresh controller both build the same image;
+   either one may stay. *)
+let image t =
+  match Atomic.get t.image with
+  | Some img -> img
+  | None ->
+      let img = image_of_states t.states in
+      Atomic.set t.image (Some img);
+      img
+
+(* Execute the dense PLA image: per cycle, the state's work mask drives
+   the datapath (phase 1), the used conditions index its successor
+   entry, and the entry's exit mask fires in one fixed order (phase 2).
+   Exit actions are simultaneous register updates in hardware, so
+   [Record_row] samples the address before [Addr_step] moves it — the
+   order {!run_via_pla} replays too.  Backgrounds and their complements
+   are resolved to packed words once per run; a cycle allocates
+   nothing. *)
 let run t model hooks =
   let dp = make_datapath t model hooks in
+  let img = image t in
   let budget = cycle_budget t in
-  let rec go state cycles =
-    if state = t.done_ok || state = t.fail then finish t dp state cycles
-    else if cycles > budget then
-      failwith "Controller.run: cycle budget exceeded (FSM livelock?)"
-    else begin
-      let s = t.states.(state) in
-      exec_actions dp s.work;
-      let exits, next = s.next (eval_cond dp) in
-      exec_actions dp exits;
-      go next (cycles + 1)
+  let bg_w = dp.bgs and bgc_w = Array.map Word.lnot_ dp.bgs in
+  let bg_i = Array.map Word.to_int bg_w
+  and bgc_i = Array.map Word.to_int bgc_w in
+  let ag = dp.addgen in
+  let state = ref t.idle and cycles = ref 0 in
+  while !state <> t.done_ok && !state <> t.fail do
+    if !cycles > budget then
+      failwith "Controller.run: cycle budget exceeded (FSM livelock?)";
+    let s = !state in
+    let w = Array.unsafe_get img.work_mask s in
+    let compl = w land w_compl <> 0 in
+    if w land w_read <> 0 then
+      dp.cmp_fail <-
+        Model.read_int model (Addgen.value ag)
+        <> (if compl then bgc_i else bg_i).(dp.bg_idx)
+    else if w land w_write <> 0 then
+      Model.write_word model (Addgen.value ag)
+        (if compl then bgc_w else bg_w).(dp.bg_idx)
+    else if w land w_reset_up <> 0 then begin
+      dp.dir <- March.Up;
+      Addgen.reset ag ~dir:March.Up
     end
-  in
-  go t.idle 0
+    else if w land w_reset_down <> 0 then begin
+      dp.dir <- March.Down;
+      Addgen.reset ag ~dir:March.Down
+    end
+    else if w land w_wait <> 0 then Model.retention_wait model;
+    (* the acknowledge holds only in the cycle that requested the wait *)
+    dp.waited <- w land w_wait <> 0;
+    let u = Array.unsafe_get img.used s in
+    let k = ref 0 in
+    for i = 0 to Array.length u - 1 do
+      if eval_cond dp (Array.unsafe_get u i) then k := !k lor (1 lsl i)
+    done;
+    let e = img.table.(Array.unsafe_get img.offset s + !k) in
+    if e land x_record <> 0 then begin
+      match hooks.record_fault ~row:(current_row dp) with
+      | `Ok -> dp.recorded <- hooks.faults_recorded ()
+      | `Full -> (* guarded against by Tlb_full *) assert false
+    end;
+    if e land x_next_bg <> 0 then dp.bg_idx <- dp.bg_idx + 1;
+    if e land x_reset_bg <> 0 then dp.bg_idx <- 0;
+    if e land x_remap <> 0 then hooks.enable_remap ();
+    if e land x_step <> 0 then ignore (Addgen.step ag ~dir:dp.dir);
+    state := e lsr n_actions;
+    incr cycles
+  done;
+  finish t dp !state !cycles
+
+let test t = t.test
+let words t = t.words
+let backgrounds t = t.backgrounds
+
+let symbolic_step t ~state ~conds =
+  let env c = conds land (1 lsl cond_index c) <> 0 in
+  let exits, next = t.states.(state).next env in
+  (next, mask_of_actions exits)
+
+let table_step t ~state ~conds =
+  let img = image t in
+  let u = img.used.(state) in
+  let k = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if conds land (1 lsl cond_index c) <> 0 then k := !k lor (1 lsl i))
+    u;
+  let e = img.table.(img.offset.(state) + !k) in
+  (e lsr n_actions, e land ((1 lsl n_actions) - 1))
 
 (* ------------------------------------------------------------------ *)
 (* PLA compilation *)
 
-let n_conds = List.length all_conds
-let n_actions = List.length all_actions
-
+(* The TRPLA planes read the dense image, so the state graph's [next]
+   is enumerated in one place ({!image_of_states}): one term per state
+   and assignment [k] of its used conditions, the AND plane taking T/F
+   from bit [i] of [k] for [used.(s).(i)] and X for the others, the OR
+   plane the next-state bits and the work and exit action lines.  A
+   controller that was never run is tabulated without caching the
+   image, and the planes are filled by loops, not per-entry closures:
+   layout and area flows export many controllers they never run, and
+   the extra allocation raised the Fig. 4 sweep's peak heap by a
+   fifth. *)
 let to_pla t =
+  let img =
+    match Atomic.get t.image with
+    | Some img -> img
+    | None -> image_of_states t.states
+  in
   let nbits = flipflop_count t in
   let n_inputs = nbits + n_conds in
   let n_outputs = nbits + n_actions in
   let pla = Trpla.create ~n_inputs ~n_outputs in
   Array.iteri
-    (fun id s ->
-      let used = s.uses in
-      let k = List.length used in
-      (* one term per assignment of the used conditions *)
-      for mask = 0 to (1 lsl k) - 1 do
-        let assignment =
-          List.mapi (fun i c -> (c, mask land (1 lsl i) <> 0)) used
-        in
-        let env c =
-          match List.assoc_opt c assignment with
-          | Some v -> v
-          | None -> false
-        in
-        let exits, next = s.next env in
-        let ands =
-          Array.init n_inputs (fun i ->
-              if i < nbits then
-                (* state encoding, LSB first *)
-                if id land (1 lsl i) <> 0 then Trpla.T else Trpla.F
-              else
-                let c = List.nth all_conds (i - nbits) in
-                match List.assoc_opt c assignment with
-                | Some true -> Trpla.T
-                | Some false -> Trpla.F
-                | None -> Trpla.X)
-        in
+    (fun id used ->
+      for k = 0 to (1 lsl Array.length used) - 1 do
+        let e = img.table.(img.offset.(id) + k) in
+        let lines = img.work_mask.(id) lor e in
+        (* state encoding, LSB first, then the conditions *)
+        let ands = Array.make n_inputs Trpla.X in
+        for b = 0 to nbits - 1 do
+          ands.(b) <- (if id land (1 lsl b) <> 0 then Trpla.T else Trpla.F)
+        done;
+        for j = 0 to Array.length used - 1 do
+          ands.(nbits + cond_index used.(j)) <-
+            (if k land (1 lsl j) <> 0 then Trpla.T else Trpla.F)
+        done;
         let ors = Array.make n_outputs false in
         for b = 0 to nbits - 1 do
-          if next land (1 lsl b) <> 0 then ors.(b) <- true
+          ors.(b) <- (e lsr n_actions) land (1 lsl b) <> 0
         done;
-        List.iter (fun a -> ors.(nbits + action_index a) <- true) (s.work @ exits);
+        for a = 0 to n_actions - 1 do
+          ors.(nbits + a) <- lines land (1 lsl a) <> 0
+        done;
         Trpla.add_term pla ~ands ~ors
       done)
-    t.states;
+    img.used;
   pla
 
 let run_via_pla t model hooks =

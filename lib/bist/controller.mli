@@ -5,9 +5,12 @@
     per operation, one wait state per retention delay and a
     per-background loop state; global states handle idle, the TLB
     overflow check, pass-2 setup and the two terminal statuses.  The
-    state graph is exported as TRPLA plane images, and the interpreter
-    can execute either the symbolic graph or the PLA image — the test
-    suite checks they agree cycle by cycle.
+    state graph is exported as TRPLA plane images.  {!run} executes a
+    dense tabulation of the graph — per state a work-action mask and a
+    successor table indexed by the conditions the state samples — built
+    once per controller, on its first run; {!run_via_pla} evaluates the
+    TRPLA planes instead and is the slow reference the test suite holds
+    {!run} against.
 
     Pass semantics follow the paper: in the first pass every failing
     row address is recorded in the TLB (mapped to the predetermined,
@@ -45,6 +48,14 @@ val compile :
     result. *)
 val compile_layout : March.t -> words:int -> n_backgrounds:int -> t
 
+(** The march test, word count and background list the controller was
+    compiled for (the list is empty for {!compile_layout}). *)
+val test : t -> March.t
+
+val words : t -> int
+
+val backgrounds : t -> Bisram_sram.Word.t list
+
 val state_count : t -> int
 val flipflop_count : t -> int
 
@@ -57,7 +68,12 @@ type report = {
   faults_recorded : int;
 }
 
-(** Execute the two-pass self-test/self-repair against the RAM model. *)
+(** Execute the two-pass self-test/self-repair against the RAM model,
+    from the dense PLA image.  Exit actions of a transition fire in one
+    fixed order ([Record_row] samples the address before [Addr_step]
+    moves it).  A cycle allocates nothing beyond what the hooks do.
+    @raise Invalid_argument if a background's width differs from the
+    model's [bpw], or on a layout-only controller. *)
 val run : t -> Bisram_sram.Model.t -> hooks -> report
 
 (** Export the control program as TRPLA planes. *)
@@ -66,5 +82,19 @@ val to_pla : t -> Trpla.t
 (** Execute by evaluating the TRPLA image each cycle instead of the
     symbolic graph (slower; used to validate the PLA compilation). *)
 val run_via_pla : t -> Bisram_sram.Model.t -> hooks -> report
+
+(** {2 The transition function, for the table-vs-graph test}
+
+    [conds] assigns all six conditions — bit [i] is, in order,
+    test-enable, comparator-fail, element-done, background-done,
+    TLB-full, retention-acknowledge — and both functions return
+    [(next_state, exit_mask)], the mask over the control outputs'
+    PLA output lines (after the state bits).  {!symbolic_step} asks the
+    symbolic graph; {!table_step} reads the dense image, which keeps
+    only the conditions each state declares it uses — the two agree on
+    all 64 assignments iff those declarations are complete. *)
+
+val symbolic_step : t -> state:int -> conds:int -> int * int
+val table_step : t -> state:int -> conds:int -> int * int
 
 val pp_outcome : Format.formatter -> outcome -> unit

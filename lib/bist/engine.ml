@@ -39,14 +39,18 @@ let iter_addresses n order f =
         f a
       done
 
-let run_general ram test ~backgrounds ~stop_at_first =
+(* The kernel.  [read] returns the packed value of the word read at an
+   address, so the expected-vs-got check is an int compare and a read
+   allocates nothing; the [got] word is built only for a failure
+   record.  Every background has width [width] (checked by the
+   callers, once per run). *)
+let run_general ram ~read ~width test ~backgrounds ~stop_at_first =
   let failures = ref [] in
   (try
      List.iteri
        (fun bg_idx bg ->
-         (* hoisted out of the address loop: [lnot_] allocates, and the
-            complemented background is needed on every ~r/~w op of every
-            address — the engine's hottest allocation site *)
+         (* hoisted out of the address loop: the complemented background
+            is needed on every ~r/~w op of every address *)
          let bg_compl = Word.lnot_ bg in
          List.iteri
            (fun item_idx item ->
@@ -62,7 +66,7 @@ let run_general ram test ~backgrounds ~stop_at_first =
                  else ram.retention_wait ()
              | March.Elem { order; ops } ->
                  (* per-element op table, resolved against the current
-                    background once: the address loop walks a flat array
+                    background once: the address loop walks flat arrays
                     instead of re-running List.iteri closures, so it
                     allocates nothing per address *)
                  let n_ops = List.length ops in
@@ -77,23 +81,22 @@ let run_general ram test ~backgrounds ~stop_at_first =
                      | March.R compl ->
                          if compl then op_word.(i) <- bg_compl)
                    ops;
+                 let op_int = Array.map Word.to_int op_word in
                  let exec () =
                    iter_addresses ram.words order (fun addr ->
                        for op_idx = 0 to n_ops - 1 do
-                         let w = Array.unsafe_get op_word op_idx in
                          if Array.unsafe_get is_write op_idx then
-                           ram.write addr w
+                           ram.write addr (Array.unsafe_get op_word op_idx)
                          else begin
-                           let got = ram.read addr in
-                           (* packed words: an int compare *)
-                           if not (Word.equal w got) then begin
+                           let got = read addr in
+                           if got <> Array.unsafe_get op_int op_idx then begin
                              failures :=
                                { background = bg
                                ; item = item_idx
                                ; op = op_idx
                                ; addr
-                               ; expected = w
-                               ; got
+                               ; expected = Array.unsafe_get op_word op_idx
+                               ; got = Word.of_int ~width got
                                }
                                :: !failures;
                              if stop_at_first then raise Stop
@@ -117,16 +120,34 @@ let run_general ram test ~backgrounds ~stop_at_first =
    with Stop -> ());
   List.rev !failures
 
+let check_widths ~width backgrounds =
+  if List.exists (fun bg -> Word.width bg <> width) backgrounds then
+    invalid_arg "Engine: background width differs from the RAM word width"
+
+(* A generic RAM returns words: its reads are width-checked one by one
+   (the words are already built), the backgrounds against the first. *)
 let run_ram ram test ~backgrounds =
-  run_general ram test ~backgrounds ~stop_at_first:false
+  let width = match backgrounds with [] -> 0 | bg :: _ -> Word.width bg in
+  check_widths ~width backgrounds;
+  let read addr =
+    let w = ram.read addr in
+    if Word.width w <> width then invalid_arg "Engine: word width mismatch";
+    Word.to_int w
+  in
+  run_general ram ~read ~width test ~backgrounds ~stop_at_first:false
+
+let run_model model test ~backgrounds ~stop_at_first =
+  let width = (Model.org model).Org.bpw in
+  check_widths ~width backgrounds;
+  Model.clear model;
+  run_general (ram_of_model model) ~read:(Model.read_int model) ~width test
+    ~backgrounds ~stop_at_first
 
 let run model test ~backgrounds =
-  Model.clear model;
-  run_general (ram_of_model model) test ~backgrounds ~stop_at_first:false
+  run_model model test ~backgrounds ~stop_at_first:false
 
 let passes model test ~backgrounds =
-  Model.clear model;
-  run_general (ram_of_model model) test ~backgrounds ~stop_at_first:true = []
+  run_model model test ~backgrounds ~stop_at_first:true = []
 
 let failing_rows org failures =
   let seen = Hashtbl.create 16 in

@@ -164,12 +164,60 @@ let outcome_equal (a : Repair.outcome) (b : Repair.outcome) =
   | Repair.Repair_unsuccessful ra, Repair.Repair_unsuccessful rb -> ra = rb
   | _, _ -> false
 
-let model_with cfg faults =
-  let m = Model.create cfg.org in
+let backgrounds cfg = Datagen.required_backgrounds ~bpw:cfg.org.Org.bpw
+
+(* Per-domain flow kit: the three flow models of a trial and the
+   compiled controller, kept in a [Domain.DLS] slot and reused by every
+   trial and shrink predicate the domain runs for one org and march
+   (a model is ~17.5k words to create, a controller ~7.7k to compile).
+   Domains never share a kit, and a domain runs one trial at a time. *)
+type kit = {
+  k_org : Org.t;
+  k_march : March.t;
+  k_models : Model.t array; (* controller, reference, iterated flows *)
+  mutable k_controller : Bisram_bist.Controller.t option;
+}
+
+let kit_key : kit option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let kit cfg =
+  match Domain.DLS.get kit_key with
+  | Some k when k.k_org = cfg.org && March.equal k.k_march cfg.march -> k
+  | Some _ | None ->
+      let k =
+        { k_org = cfg.org
+        ; k_march = cfg.march
+        ; k_models = Array.init 3 (fun _ -> Model.create cfg.org)
+        ; k_controller = None
+        }
+      in
+      Domain.DLS.set kit_key (Some k);
+      k
+
+(* Flow model [slot] re-armed with [faults], counter-neutrally: the old
+   fault machinery and data are torn down first, then the counters are
+   zeroed, so arming counts exactly what arming a fresh model counts
+   (every [model.*] counter equals a fresh model's). *)
+let model_with cfg ?(slot = 0) faults =
+  let m = (kit cfg).k_models.(slot) in
+  Model.set_remap m None;
+  Model.set_col_remap m None;
+  Model.set_faults m [];
+  Model.reset_stats m;
   Model.set_faults m faults;
   m
 
-let backgrounds cfg = Datagen.required_backgrounds ~bpw:cfg.org.Org.bpw
+let flow_controller cfg =
+  let k = kit cfg in
+  match k.k_controller with
+  | Some c -> c
+  | None ->
+      let c =
+        Bisram_bist.Controller.compile cfg.march ~words:cfg.org.Org.words
+          ~backgrounds:(backgrounds cfg)
+      in
+      k.k_controller <- Some c;
+      c
 
 type verdicts = {
   controller : Repair.outcome;
@@ -212,7 +260,7 @@ let run_faults_bira cfg strat faults =
           ~backgrounds:bgs)
   in
   Pool.check_deadline ();
-  let mr = model_with cfg faults in
+  let mr = model_with cfg ~slot:1 faults in
   let r_res =
     Obs.span ~cat:"campaign" "oracle" (fun () ->
         Bira.run ~max_rounds:cfg.max_rounds ~fast:false strat mr cfg.march
@@ -275,22 +323,23 @@ let run_faults_bira cfg strat faults =
 
 let run_faults_tlb cfg faults =
   let bgs = backgrounds cfg in
-  (* fresh model per flow: each run mutates array contents and remap *)
+  (* a model per flow: each run mutates array contents and remap *)
   let mc = model_with cfg faults in
   let controller, report, c_tlb =
     Obs.span ~cat:"campaign" "march" (fun () ->
-        Repair.run mc cfg.march ~backgrounds:bgs)
+        Repair.run ~controller:(flow_controller cfg) mc cfg.march
+          ~backgrounds:bgs)
   in
   (* between flows: the cooperative per-trial deadline (a no-op unless
      the caller set one on the pool) *)
   Pool.check_deadline ();
-  let mr = model_with cfg faults in
+  let mr = model_with cfg ~slot:1 faults in
   let reference, r_tlb =
     Obs.span ~cat:"campaign" "oracle" (fun () ->
         Repair.run_reference mr cfg.march ~backgrounds:bgs)
   in
   Pool.check_deadline ();
-  let mi = model_with cfg faults in
+  let mi = model_with cfg ~slot:2 faults in
   let it =
     Obs.span ~cat:"campaign" "repair" (fun () ->
         Repair.run_iterated_result ~max_rounds:cfg.max_rounds mi cfg.march
@@ -401,7 +450,10 @@ let check_escape cfg ~flow faults =
     | Row_tlb -> (
         match flow with
         | Two_pass ->
-            let outcome, _, _ = Repair.run m cfg.march ~backgrounds:bgs in
+            let outcome, _, _ =
+              Repair.run ~controller:(flow_controller cfg) m cfg.march
+                ~backgrounds:bgs
+            in
             outcome
         | Iterated ->
             (Repair.run_iterated_result ~max_rounds:cfg.max_rounds m cfg.march
@@ -419,7 +471,7 @@ let check_divergence cfg faults =
         Bira.run ~max_rounds:cfg.max_rounds ~fast:true strat mc cfg.march
           ~backgrounds:bgs
       in
-      let mr = model_with cfg faults in
+      let mr = model_with cfg ~slot:1 faults in
       let r =
         Bira.run ~max_rounds:cfg.max_rounds ~fast:false strat mr cfg.march
           ~backgrounds:bgs
@@ -428,8 +480,11 @@ let check_divergence cfg faults =
       || (success c.Bira.b_outcome && c.Bira.b_alloc <> r.Bira.b_alloc)
   | Row_tlb ->
       let mc = model_with cfg faults in
-      let controller, _, c_tlb = Repair.run mc cfg.march ~backgrounds:bgs in
-      let mr = model_with cfg faults in
+      let controller, _, c_tlb =
+        Repair.run ~controller:(flow_controller cfg) mc cfg.march
+          ~backgrounds:bgs
+      in
+      let mr = model_with cfg ~slot:1 faults in
       let reference, r_tlb =
         Repair.run_reference mr cfg.march ~backgrounds:bgs
       in

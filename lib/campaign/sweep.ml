@@ -38,13 +38,18 @@ exception Found of mismatch
 
 let run ?(stop_at_first = false) model =
   let org = Model.org model in
-  let words = org.Org.words in
+  let words = org.Org.words and bpw = org.Org.bpw in
+  (* the backgrounds are built at the model's own [bpw], so reads can be
+     compared as packed ints with no width guard; the [got] word is
+     built only for a mismatch record *)
   let mismatches = ref [] in
   let check ~pattern ~phase ~data addr =
     let expected = data addr in
-    let got = Model.read_word model addr in
-    if not (Word.equal expected got) then begin
-      let m = { addr; pattern; phase; expected; got } in
+    let got = Model.read_int model addr in
+    if got <> Word.to_int expected then begin
+      let m =
+        { addr; pattern; phase; expected; got = Word.of_int ~width:bpw got }
+      in
       if stop_at_first then raise (Found m);
       mismatches := m :: !mismatches
     end

@@ -28,31 +28,47 @@ let stuck_at_only =
   ; data_retention = 0.0
   }
 
-let mix_weights mix =
-  [ ("stuck_at", mix.stuck_at)
-  ; ("transition", mix.transition)
-  ; ("stuck_open", mix.stuck_open)
-  ; ("coupling_inversion", mix.coupling_inversion)
-  ; ("coupling_idempotent", mix.coupling_idempotent)
-  ; ("state_coupling", mix.state_coupling)
-  ; ("data_retention", mix.data_retention)
-  ]
+(* The mix's weights by index, in declaration order, and their names:
+   the one walk over its fields, so a new fault class is added here
+   and nowhere else.  An index match rather than a fold with a closure
+   keeps the walk allocation-free (a closure call would box every
+   weight), and every config build walks the mix to validate it. *)
+let weight_names =
+  [| "stuck_at"; "transition"; "stuck_open"; "coupling_inversion"
+   ; "coupling_idempotent"; "state_coupling"; "data_retention" |]
+
+let[@inline] weight mix = function
+  | 0 -> mix.stuck_at
+  | 1 -> mix.transition
+  | 2 -> mix.stuck_open
+  | 3 -> mix.coupling_inversion
+  | 4 -> mix.coupling_idempotent
+  | 5 -> mix.state_coupling
+  | _ -> mix.data_retention
+
+let[@inline] total_weight mix =
+  let total = ref 0.0 in
+  for i = 0 to Array.length weight_names - 1 do
+    total := !total +. weight mix i
+  done;
+  !total
 
 let validate_mix mix =
-  List.iter
-    (fun (name, w) ->
-      if Float.is_nan w then
-        invalid_arg (Printf.sprintf "Injection: %s weight is NaN" name);
-      if w < 0.0 then
-        invalid_arg
-          (Printf.sprintf "Injection: %s weight %g is negative" name w))
-    (mix_weights mix);
-  let total = List.fold_left (fun a (_, w) -> a +. w) 0.0 (mix_weights mix) in
-  if total <= 0.0 then
+  for i = 0 to Array.length weight_names - 1 do
+    let w = weight mix i in
+    if Float.is_nan w then
+      invalid_arg
+        (Printf.sprintf "Injection: %s weight is NaN" weight_names.(i));
+    if w < 0.0 then
+      invalid_arg
+        (Printf.sprintf "Injection: %s weight %g is negative"
+           weight_names.(i) w)
+  done;
+  if total_weight mix <= 0.0 then
     invalid_arg
       (Printf.sprintf
          "Injection: mix has no positive weight (all-zero mix: %s are all 0)"
-         (String.concat ", " (List.map fst (mix_weights mix))))
+         (String.concat ", " (Array.to_list weight_names)))
 
 let class_name = function
   | Fault.Stuck_at _ -> "stuck_at"
@@ -62,9 +78,6 @@ let class_name = function
   | Fault.Coupling_idempotent _ -> "coupling_idempotent"
   | Fault.State_coupling _ -> "state_coupling"
   | Fault.Data_retention _ -> "data_retention"
-
-let total_weight mix =
-  List.fold_left (fun a (_, w) -> a +. w) 0.0 (mix_weights mix)
 
 let class_weight mix fault =
   match fault with

@@ -295,16 +295,20 @@ let set_col_remap t f =
 let force_store t i v =
   match t.pin.(i) with Some _ -> () | None -> store t i v
 
-(* A successful state change on cell [i] fires its aggressor effects. *)
+(* A successful state change on cell [i] fires its aggressor effects.
+   The effect walks below are top-level recursions over the model
+   rather than closures, so the per-cell path allocates nothing. *)
+let rec fire_effects t new_v = function
+  | [] -> ()
+  | Invert victim :: rest ->
+      force_store t victim (not (stored t victim));
+      fire_effects t new_v rest
+  | Force { rising; victim; forces } :: rest ->
+      if rising = new_v then force_store t victim forces;
+      fire_effects t new_v rest
+
 let fire_coupling t i ~old_v ~new_v =
-  if old_v <> new_v then
-    List.iter
-      (fun eff ->
-        match eff with
-        | Invert victim -> force_store t victim (not (stored t victim))
-        | Force { rising; victim; forces } ->
-            if rising = new_v then force_store t victim forces)
-      t.agg_effects.(i)
+  if old_v <> new_v then fire_effects t new_v t.agg_effects.(i)
 
 let write_bit t i v =
   if t.opens.(i) then () (* inaccessible cell *)
@@ -320,16 +324,18 @@ let write_bit t i v =
           fire_coupling t i ~old_v ~new_v:v
         end
 
+(* State coupling: of the victim's (aggressor, state) pairs, the last
+   one in list order whose aggressor holds [state] decides what the
+   victim reads. *)
+let rec coupled_read t acc = function
+  | [] -> acc
+  | (agg, st, reads_as) :: rest ->
+      coupled_read t (if stored t agg = st then reads_as else acc) rest
+
 let read_bit t ~io i =
   if t.opens.(i) then t.sense_residue.(io) (* SOF: sense amp keeps residue *)
   else begin
-    let v0 = stored t i in
-    let v =
-      List.fold_left
-        (fun acc (agg, st, reads_as) ->
-          if stored t agg = st then reads_as else acc)
-        v0 t.state_cpl.(i)
-    in
+    let v = coupled_read t (stored t i) t.state_cpl.(i) in
     t.sense_residue.(io) <- v;
     v
   end
@@ -367,62 +373,72 @@ let write_phys t ~row ~col w =
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
-(* A read is fast when the row is clean AND no stuck-open fault exists
-   anywhere: the legacy path refreshes the per-I/O sense residue on
-   every read, which is observable only through an open cell, so with
-   [nopens = 0] skipping the refresh cannot change any later read.
-   The fast case is a single array load; [of_int] re-masks, which is
-   free on an already-packed value. *)
+(* Per-cell read of a whole word, bits in increasing order: that order
+   is the per-I/O sense-residue update sequence the stuck-open model
+   depends on. *)
+let read_cells t ~row ~col =
+  let base = row * t.tcols in
+  let v = ref 0 in
+  (match t.col_remap with
+  | None ->
+      for bit = 0 to t.bpw - 1 do
+        if read_bit t ~io:bit (base + (bit * t.bpc) + col) then
+          v := !v lor (1 lsl bit)
+      done
+  | Some f ->
+      for bit = 0 to t.bpw - 1 do
+        if read_bit t ~io:bit (base + f ((bit * t.bpc) + col)) then
+          v := !v lor (1 lsl bit)
+      done);
+  !v
+
+(* A read is fast when no column map is armed, the row is clean AND no
+   stuck-open fault exists anywhere: the legacy path refreshes the
+   per-I/O sense residue on every read, which is observable only
+   through an open cell, so with [nopens = 0] skipping the refresh
+   cannot change any later read.  The fast case is a single array
+   load of the packed value. *)
 let read_phys t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
-  let w =
+  let v =
     match t.col_remap with
-    | None ->
-        if
-          t.fast
-          && (t.nfaults = 0 || (t.nopens = 0 && not (row_is_faulty t row)))
-        then begin
-          t.n_fast_reads <- t.n_fast_reads + 1;
-          Word.of_int ~width:t.bpw
-            (Array.unsafe_get t.packed ((row * t.bpc) + col))
-        end
-        else
-          (* [Word.init] applies f in increasing bit order, preserving
-             the per-I/O sense-residue update sequence of the legacy
-             path *)
-          Word.init t.bpw (fun bit ->
-              read_bit t ~io:bit ((row * t.tcols) + (bit * t.bpc) + col))
-    | Some f ->
-        Word.init t.bpw (fun bit ->
-            read_bit t ~io:bit ((row * t.tcols) + f ((bit * t.bpc) + col)))
+    | None
+      when t.fast
+           && (t.nfaults = 0 || (t.nopens = 0 && not (row_is_faulty t row)))
+      ->
+        t.n_fast_reads <- t.n_fast_reads + 1;
+        Array.unsafe_get t.packed ((row * t.bpc) + col)
+    | None | Some _ -> read_cells t ~row ~col
   in
   t.n_reads <- t.n_reads + 1;
-  w
+  v
 
-let read_word t a =
+let read_int t a =
   let row = physical_row t (Org.row_of_addr t.org a) in
   read_phys t ~row ~col:(Org.col_of_addr t.org a)
+
+let read_word t a = Word.of_int ~width:t.bpw (read_int t a)
 
 let write_word t a w =
   let row = physical_row t (Org.row_of_addr t.org a) in
   write_phys t ~row ~col:(Org.col_of_addr t.org a) w
 
-let read_row_word t ~row ~col = read_phys t ~row ~col
+let read_row_word t ~row ~col = Word.of_int ~width:t.bpw (read_phys t ~row ~col)
 let write_row_word t ~row ~col w = write_phys t ~row ~col w
 
 (* Decay is confined to retention-faulty cells, so walking the armed
    fault list replaces the legacy O(ncells) array scan; for several
    retention faults on one cell the last one wins on both paths. *)
-let retention_wait t =
-  List.iter
-    (fun f ->
-      match f with
-      | F.Data_retention (c, v) ->
-          let i = idx t c in
-          if t.pin.(i) = None then store t i v
-      | _ -> ())
-    t.fault_list
+let rec decay t = function
+  | [] -> ()
+  | F.Data_retention (c, v) :: rest ->
+      let i = idx t c in
+      if t.pin.(i) = None then store t i v;
+      decay t rest
+  | _ :: rest -> decay t rest
+
+let retention_wait t = decay t t.fault_list
 
 let reads t = t.n_reads
 let writes t = t.n_writes
@@ -435,6 +451,14 @@ type stats = {
   s_rows_migrated : int;
   s_rows_cleared : int;
 }
+
+let reset_stats t =
+  t.n_reads <- 0;
+  t.n_writes <- 0;
+  t.n_fast_reads <- 0;
+  t.n_fast_writes <- 0;
+  t.n_rows_migrated <- 0;
+  t.n_rows_cleared <- 0
 
 let stats t =
   { s_reads = t.n_reads

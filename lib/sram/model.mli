@@ -47,6 +47,13 @@ val set_col_remap : t -> (int -> int) option -> unit
     width mismatches. *)
 val read_word : t -> int -> Word.t
 
+(** [read_int t a] is [Word.to_int (read_word t a)] without building the
+    word: the same access (same counters, same sense-residue updates),
+    returned as the packed value.  The BIST kernels compare it against a
+    precomputed background with an int test, so a read allocates
+    nothing. *)
+val read_int : t -> int -> int
+
 val write_word : t -> int -> Word.t -> unit
 
 (** Direct physical-row access, bypassing the remap (used to test spare
@@ -78,6 +85,13 @@ type stats = {
     plain per-model ints (no global telemetry involved); the campaign
     flushes them into the {!Bisram_obs.Obs} registry per trial. *)
 val stats : t -> stats
+
+(** Zero every access-regime counter (as at {!create}).  With
+    [set_faults t []] before and [set_faults t faults] after, a reused
+    model then reports exactly the counters of a fresh
+    [create] + [set_faults t faults]: the campaign re-arms its per-domain
+    flow models this way. *)
+val reset_stats : t -> unit
 
 (** Forget all stored data (power-up state: zeros, pinned cells at their
     stuck value); counters and faults are preserved.  Only rows written

@@ -162,6 +162,41 @@ let test_repair_reference_agrees () =
     Alcotest.(check string) "controller = reference" (tag o2) (tag o1)
   done
 
+(* A controller compiled once serves every call, with the same results
+   as compiling per call; one compiled for another word count, march,
+   background count or background values is refused. *)
+let test_repair_precompiled_controller () =
+  let module Controller = Bisram_bist.Controller in
+  let controller = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
+  let rng = Random.State.make [| 11 |] in
+  let org = small () in
+  for _ = 1 to 10 do
+    let faults =
+      I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
+        ~mix:I.default_mix ~n:(Random.State.int rng 5)
+    in
+    let run ?controller () =
+      let m = with_faults faults in
+      let o, r, tlb = Repair.run ?controller m Alg.ifa_9 ~backgrounds:bgs8 in
+      (o, r, Tlb.mapped_rows tlb, Model.stats m)
+    in
+    Alcotest.(check bool) "precompiled = per-call compile" true
+      (run ~controller () = run ())
+  done;
+  let refused what controller =
+    let m = with_faults [] in
+    match Repair.run ~controller m Alg.ifa_9 ~backgrounds:bgs8 with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "word count"
+    (Controller.compile Alg.ifa_9 ~words:32 ~backgrounds:bgs8);
+  refused "background count"
+    (Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:(List.tl bgs8));
+  refused "march" (Controller.compile Alg.mats_plus ~words:64 ~backgrounds:bgs8);
+  refused "background values"
+    (Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:(List.rev bgs8))
+
 let test_repair_iterated_fixes_faulty_spare () =
   (* one faulty row + one faulty spare: plain two-pass fails, iterated
      flow walks to the next spare *)
@@ -360,6 +395,8 @@ let () =
             test_repair_faulty_spare_detected
         ; Alcotest.test_case "column failure" `Quick
             test_repair_column_failure_unrepairable
+        ; Alcotest.test_case "precompiled controller" `Quick
+            test_repair_precompiled_controller
         ; Alcotest.test_case "controller = reference" `Slow
             test_repair_reference_agrees
         ; Alcotest.test_case "iterated repair" `Quick

@@ -12,6 +12,7 @@ module Coverage = Bisram_bist.Coverage
 module Org = Bisram_sram.Org
 module Word = Bisram_sram.Word
 module Model = Bisram_sram.Model
+module Tlb = Bisram_bisr.Tlb
 module F = Bisram_faults.Fault
 
 let word = Alcotest.testable Word.pp Word.equal
@@ -411,29 +412,122 @@ let prop_controller_matches_engine_random_march =
       let r = Controller.run ctl m2 Controller.no_repair_hooks in
       engine_clean = (r.Controller.outcome = Controller.Passed_clean))
 
+(* The table executor against the TRPLA reference, with the real TLB
+   hooks (pass-2 remap active) and the default fault mix, faults in the
+   spare rows included: everything either executor can leave behind
+   must agree. *)
 let prop_pla_path_matches_symbolic_random_march =
   QCheck.Test.make ~name:"PLA execution = symbolic on random marches"
-    ~count:15
+    ~count:30
     QCheck.(pair arb_march (int_range 0 1_000_000))
     (fun (march, seed) ->
       let rng = Random.State.make [| seed |] in
       let o = small () in
       let faults =
-        Bisram_faults.Injection.inject rng ~rows:(Org.rows o)
-          ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.stuck_at_only
-          ~n:(Random.State.int rng 3)
+        Bisram_faults.Injection.inject rng ~rows:(Org.total_rows o)
+          ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.default_mix
+          ~n:(Random.State.int rng 4)
       in
+      let ctl = Controller.compile march ~words:o.Org.words ~backgrounds:bgs8 in
       let run f =
         let m = Model.create o in
         Model.set_faults m faults;
-        let ctl =
-          Controller.compile march ~words:o.Org.words ~backgrounds:bgs8
+        let tlb =
+          Tlb.create ~spares:o.Org.spares ~regular_rows:(Org.rows o)
         in
-        f ctl m (hooks_recording (Hashtbl.create 4) 4)
+        let r = f ctl m (Bisram_bisr.Repair.hooks_of_tlb tlb m) in
+        ( r.Controller.outcome
+        , r.Controller.cycles
+        , r.Controller.faults_recorded
+        , Tlb.mapped_rows tlb
+        , Model.stats m )
       in
-      let r1 = run Controller.run and r2 = run Controller.run_via_pla in
-      r1.Controller.outcome = r2.Controller.outcome
-      && r1.Controller.cycles = r2.Controller.cycles)
+      run Controller.run = run Controller.run_via_pla)
+
+(* The dense image keeps, per state, only the conditions the state
+   declares it [uses]; that is sound only if the symbolic transition
+   ignores every other condition.  Check every state of every library
+   march under all 2^6 condition assignments. *)
+let test_controller_table_matches_graph () =
+  List.iter
+    (fun march ->
+      let ctl = Controller.compile march ~words:16 ~backgrounds:bgs8 in
+      for state = 0 to Controller.state_count ctl - 1 do
+        for conds = 0 to 63 do
+          let sym = Controller.symbolic_step ctl ~state ~conds
+          and tab = Controller.table_step ctl ~state ~conds in
+          if sym <> tab then
+            Alcotest.failf
+              "%s: state %s, conds %d: graph (%d, %x), table (%d, %x)"
+              march.March.name (Controller.state_names ctl).(state) conds
+              (fst sym) (snd sym) (fst tab) (snd tab)
+        done
+      done)
+    Alg.all
+
+(* The width guard the packed-int compares rely on, once per run. *)
+let test_width_guards () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let bgs4 = Datagen.required_backgrounds ~bpw:4 in
+  let m = Model.create (small ()) in
+  raises "Engine.run" (fun () ->
+      ignore (Engine.run m Alg.ifa_9 ~backgrounds:bgs4));
+  raises "Engine.passes" (fun () ->
+      ignore (Engine.passes m Alg.ifa_9 ~backgrounds:bgs4));
+  raises "Engine.run_ram" (fun () ->
+      ignore
+        (Engine.run_ram (Engine.ram_of_model m) Alg.ifa_9 ~backgrounds:bgs4));
+  (* a read-first march: the write path's own width check never fires *)
+  let read_first = March.of_string ~name:"r-first" "u(r0)" in
+  raises "Engine.run_ram (read first)" (fun () ->
+      ignore
+        (Engine.run_ram (Engine.ram_of_model m) read_first ~backgrounds:bgs4));
+  raises "Engine.run_ram (mixed widths)" (fun () ->
+      ignore
+        (Engine.run_ram (Engine.ram_of_model m) read_first
+           ~backgrounds:(bgs8 @ bgs4)));
+  let ctl = Controller.compile read_first ~words:64 ~backgrounds:bgs4 in
+  raises "Controller.run" (fun () ->
+      ignore (Controller.run ctl m Controller.no_repair_hooks));
+  raises "Controller.run_via_pla" (fun () ->
+      ignore (Controller.run_via_pla ctl m Controller.no_repair_hooks))
+
+(* Allocation gate: the kernels allocate a constant number of minor
+   words per run (per-run tables and per-element set-up), not per
+   operation — a clean 64x8 IFA-9 run is ~7.7k controller cycles and
+   ~7.7k engine ops.  [Gc.minor_words] is exact at one domain, so the
+   bound is noise-free. *)
+let test_kernel_allocation () =
+  let words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. before
+  in
+  let per_run n_words =
+    let m = Model.create (Org.make ~words:n_words ~bpw:8 ~bpc:4 ~spares:4 ()) in
+    let ctl = Controller.compile Alg.ifa_9 ~words:n_words ~backgrounds:bgs8 in
+    ( words (fun () -> Controller.run ctl m Controller.no_repair_hooks)
+    , words (fun () -> Engine.run m Alg.ifa_9 ~backgrounds:bgs8) )
+  in
+  let ctl_words, engine_words = per_run 64 in
+  let bound = 2048.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "Controller.run: %.0f minor words <= %.0f" ctl_words bound)
+    true (ctl_words <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "Engine.run: %.0f minor words <= %.0f" engine_words bound)
+    true (engine_words <= bound);
+  (* and independent of the array size: four times the operations *)
+  let ctl_words', engine_words' = per_run 256 in
+  Alcotest.(check (float 0.0)) "Controller.run at 256 words" ctl_words
+    ctl_words';
+  Alcotest.(check (float 0.0)) "Engine.run at 256 words" engine_words
+    engine_words'
 
 (* ------------------------------------------------------------------ *)
 (* Coverage *)
@@ -601,6 +695,11 @@ let () =
             test_controller_vs_engine_failure_detection
         ; Alcotest.test_case "PLA path agrees" `Quick test_controller_pla_agrees
         ; Alcotest.test_case "PLA size" `Quick test_controller_pla_size
+        ; Alcotest.test_case "table = graph on all conditions" `Quick
+            test_controller_table_matches_graph
+        ; Alcotest.test_case "width guards" `Quick test_width_guards
+        ; Alcotest.test_case "kernel allocation O(1)" `Quick
+            test_kernel_allocation
         ; QCheck_alcotest.to_alcotest prop_random_march_roundtrip
         ; QCheck_alcotest.to_alcotest prop_controller_matches_engine_random_march
         ; QCheck_alcotest.to_alcotest prop_pla_path_matches_symbolic_random_march

@@ -426,26 +426,39 @@ let prop_fast_path_equals_legacy =
       drive true = drive false)
 
 (* Same differential with the BISR remap in the loop: ops install and
-   remove logical-to-spare row translations mid-stream, plus fast-path
-   toggles (exercising the packed<->byte store migration), so reads
-   through a remap of clean and faulty rows must agree byte for byte
-   with the legacy machinery. *)
+   remove logical-to-spare row translations and spare-column steering
+   mid-stream, plus fast-path toggles (exercising the packed<->byte
+   store migration), so reads through a remap of clean and faulty rows
+   must agree byte for byte with the legacy machinery.  Reads go
+   through both [read_int] and [read_word].  Odd seeds add a stuck-open
+   cell, so the per-cell path's increasing-bit sense-residue order is
+   observable; even seeds keep the fault-free and open-free cases that
+   take the packed fast read. *)
 let prop_fast_path_equals_legacy_remap =
   QCheck.Test.make ~name:"fast path agrees with legacy path under remap"
     ~count:150
     QCheck.(pair (int_range 0 100_000) (int_range 0 5))
     (fun (seed, n) ->
       let module I = Bisram_faults.Injection in
-      let org = small () in
+      let org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 () in
       let rng = Random.State.make [| 0x4E4A; seed |] in
-      let faults =
-        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
+      let injected =
+        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.total_cols org)
           ~mix:I.default_mix ~n
+      in
+      let faults =
+        if seed land 1 = 0 then injected
+        else
+          F.Stuck_open
+            (cell
+               (Random.State.int rng (Org.total_rows org))
+               (Random.State.int rng (Org.cols org)))
+          :: injected
       in
       let spare = Org.rows org in
       let ops =
         List.init 300 (fun _ ->
-            match Random.State.int rng 12 with
+            match Random.State.int rng 15 with
             | 0 -> `Wait
             | 1 -> `Clear
             | 2 ->
@@ -454,9 +467,15 @@ let prop_fast_path_equals_legacy_remap =
                   , Random.State.int rng org.Org.spares )
             | 3 -> `Unmap
             | 4 -> `Toggle
-            | 5 | 6 | 7 ->
+            | 5 ->
+                `Steer
+                  ( Random.State.int rng (Org.cols org)
+                  , Org.cols org + Random.State.int rng org.Org.spare_cols )
+            | 6 -> `Unsteer
+            | 7 | 8 | 9 ->
                 `W (Random.State.int rng org.Org.words,
                     Random.State.int rng 256)
+            | 10 | 11 -> `Ri (Random.State.int rng org.Org.words)
             | _ -> `R (Random.State.int rng org.Org.words))
       in
       let drive fast =
@@ -472,12 +491,20 @@ let prop_fast_path_equals_legacy_remap =
                   Model.write_word m a (Word.of_int ~width:8 v);
                   None
               | `R a -> Some (Word.to_string (Model.read_word m a))
+              | `Ri a -> Some (string_of_int (Model.read_int m a))
               | `Remap (r, k) ->
                   Model.set_remap m
                     (Some (fun row -> if row = r then spare + k else row));
                   None
               | `Unmap ->
                   Model.set_remap m None;
+                  None
+              | `Steer (p, q) ->
+                  Model.set_col_remap m
+                    (Some (fun c -> if c = p then q else c));
+                  None
+              | `Unsteer ->
+                  Model.set_col_remap m None;
                   None
               | `Toggle ->
                   (* only meaningful in the fast-driven model: the
@@ -498,6 +525,48 @@ let prop_fast_path_equals_legacy_remap =
         (log, Model.reads m, Model.writes m)
       in
       drive true = drive false)
+
+(* The campaign's model reuse: a model that ran anything (faults,
+   remaps, steering, writes) and is then re-armed with
+   [set_faults []; reset_stats; set_faults faults] must be
+   indistinguishable from a fresh [create] + [set_faults faults] — same
+   counters (rows_cleared included) and same reads afterwards. *)
+let prop_rearm_counter_neutral =
+  QCheck.Test.make ~name:"re-armed model = fresh model" ~count:100
+    QCheck.(pair (int_range 0 100_000) (int_range 0 5))
+    (fun (seed, n) ->
+      let module I = Bisram_faults.Injection in
+      let org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 () in
+      let rng = Random.State.make [| 0x5EA; seed |] in
+      let draw () =
+        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.total_cols org)
+          ~mix:I.default_mix ~n
+      in
+      let old_faults = draw () and faults = draw () in
+      let drive m =
+        List.init 200 (fun i ->
+            let a = (i * 37) mod org.Org.words in
+            if i mod 3 = 0 then Model.retention_wait m;
+            Model.write_word m a (Word.of_int ~width:8 (i * 91));
+            Model.read_int m ((a + 5) mod org.Org.words))
+      in
+      let used = Model.create org in
+      Model.set_faults used old_faults;
+      Model.set_remap used
+        (Some (fun row -> if row = 2 then Org.rows org else row));
+      Model.set_col_remap used
+        (Some (fun c -> if c = 3 then Org.cols org else c));
+      ignore (drive used);
+      Model.set_remap used None;
+      Model.set_col_remap used None;
+      Model.set_faults used [];
+      Model.reset_stats used;
+      Model.set_faults used faults;
+      let fresh = Model.create org in
+      Model.set_faults fresh faults;
+      Model.stats used = Model.stats fresh
+      && drive used = drive fresh
+      && Model.stats used = Model.stats fresh)
 
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
@@ -558,6 +627,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_model_rw_roundtrip
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
+        ; QCheck_alcotest.to_alcotest prop_rearm_counter_neutral
         ; Alcotest.test_case "clear covers dirty rows" `Quick
             test_clear_touches_only_dirty_rows
         ] )
