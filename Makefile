@@ -79,7 +79,7 @@ estimator-smoke: build
 	@echo "estimator-smoke: OK"
 
 # Machine-readable perf trajectory: campaign throughput at several
-# --jobs levels plus fast-vs-legacy kernel microbenchmarks, written to
+# --jobs levels plus clean vs faulty-word kernel microbenchmarks, written to
 # the repo root so subsequent changes have a baseline to regress
 # against (see EXPERIMENTS.md for the interpretation).
 bench-json: build

@@ -170,12 +170,17 @@ let backgrounds cfg = Datagen.required_backgrounds ~bpw:cfg.org.Org.bpw
    compiled controller, kept in a [Domain.DLS] slot and reused by every
    trial and shrink predicate the domain runs for one org and march
    (a model is ~17.5k words to create, a controller ~7.7k to compile).
-   Domains never share a kit, and a domain runs one trial at a time. *)
+   Domains never share a kit, and a domain runs one trial at a time.
+   The lane store is reused by every lane batch of one [run] only
+   ([k_lanes_run] is that run's generation): each run allocates its
+   own, so repeated identical runs allocate identically. *)
 type kit = {
   k_org : Org.t;
   k_march : March.t;
   k_models : Model.t array; (* controller, reference, iterated flows *)
   mutable k_controller : Bisram_bist.Controller.t option;
+  mutable k_lanes : Bisram_sram.Lanes.t option;
+  mutable k_lanes_run : int;
 }
 
 let kit_key : kit option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -189,6 +194,8 @@ let kit cfg =
         ; k_march = cfg.march
         ; k_models = Array.init 3 (fun _ -> Model.create cfg.org)
         ; k_controller = None
+        ; k_lanes = None
+        ; k_lanes_run = -1
         }
       in
       Domain.DLS.set kit_key (Some k);
@@ -230,9 +237,9 @@ type verdicts = {
 
 (* Flush the per-model access-regime counters into the telemetry
    registry; summed over the three per-trial models (and over trials by
-   the registry merge), they give the campaign-wide fast/legacy hit
-   ratios.  Deterministic values, so the merged counters are identical
-   at every job count. *)
+   the registry merge), they give the campaign-wide word-path/per-bit
+   hit ratios ([model.fast_*] / [model.legacy_*]).  Deterministic
+   values, so the merged counters are identical at every job count. *)
 let flush_model_stats m =
   let s = Model.stats m in
   Obs.add "model.reads" s.Model.s_reads;
@@ -241,7 +248,6 @@ let flush_model_stats m =
   Obs.add "model.fast_writes" s.Model.s_fast_writes;
   Obs.add "model.legacy_reads" (s.Model.s_reads - s.Model.s_fast_reads);
   Obs.add "model.legacy_writes" (s.Model.s_writes - s.Model.s_fast_writes);
-  Obs.add "model.rows_migrated" s.Model.s_rows_migrated;
   Obs.add "model.rows_cleared" s.Model.s_rows_cleared
 
 (* The BIRA analogue of the TLB trial below.  There is no
@@ -1059,9 +1065,27 @@ let popcount m =
   done;
   !n
 
-let compute_batch cfg ~start ~len =
-  Obs.span ~cat:"campaign" ~arg:("batch", start) "lane-batch" (fun () ->
+(* Generation of each [run] call, for the per-run lane store. *)
+let run_generation = Atomic.make 0
+
+(* The kit's lane store for run [gen], disarmed; the run's first batch
+   of width [len] on this domain creates it. *)
+let batch_lanes cfg ~gen ~len =
+  let k = kit cfg in
+  match k.k_lanes with
+  | Some lanes when k.k_lanes_run = gen && Bisram_sram.Lanes.nlanes lanes = len
+    ->
+      Bisram_sram.Lanes.reset lanes;
+      lanes
+  | Some _ | None ->
       let lanes = Bisram_sram.Lanes.create cfg.org ~lanes:len in
+      k.k_lanes <- Some lanes;
+      k.k_lanes_run <- gen;
+      lanes
+
+let compute_batch cfg ~gen ~start ~len =
+  Obs.span ~cat:"campaign" ~arg:("batch", start) "lane-batch" (fun () ->
+      let lanes = batch_lanes cfg ~gen ~len in
       let fault_counts =
         Array.init len (fun l ->
             let faults =
@@ -1246,6 +1270,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     match now with Some f -> f | None -> Bisram_parallel.Clock.now
   in
   let start = now () in
+  let gen = Atomic.fetch_and_add run_generation 1 in
   let caller = Domain.self () in
   let over_budget () =
     (* only the calling domain consults [now]; helper domains see the
@@ -1333,7 +1358,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                 (Printf.sprintf "chaos: injected transient fault (trial %d)"
                    start)))
       end;
-      if len > 1 && start >= nresumed then compute_batch cfg ~start ~len
+      if len > 1 && start >= nresumed then compute_batch cfg ~gen ~start ~len
       else
         (* single-trial unit, or a batch straddling the resume
            boundary: scalar per trial (resumed indices from memory) *)

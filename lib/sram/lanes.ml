@@ -4,9 +4,9 @@ module F = Bisram_faults.Fault
    is campaign trial [l]'s copy of that cell.  All stimulus is
    broadcast (a written bit is 0 or [all] across lanes), every fault is
    armed as a per-lane mask, so one int operation advances every lane
-   at once.  The semantics per lane mirror [Model]'s legacy (byte)
-   path exactly — the qcheck differential property in test_lanes pins
-   the two engines to each other bit-for-bit. *)
+   at once.  The semantics per lane mirror [Model]'s per-bit fault
+   machinery exactly — the qcheck differential property in test_lanes
+   pins the two engines to each other bit-for-bit. *)
 
 type eff =
   | Invert of { victim : int; lbit : int }
@@ -151,6 +151,32 @@ let arm t ~lane faults =
           t.state_cpl.(v) <- (a, when_state, reads_as, lbit) :: t.state_cpl.(v))
     faults
 
+(* Teardown, armed rows only: every per-cell fault mask and effect list
+   lives in the rows [arm] marked (a state-coupling entry in its
+   victim's, a coupling effect in its aggressor's). *)
+let reset t =
+  for row = 0 to t.nrows - 1 do
+    if row_is_faulty t row then begin
+      let off = row * t.tcols in
+      let zero a = Array.fill a off t.tcols 0 in
+      zero t.pin_mask;
+      zero t.pin_val;
+      zero t.no_rise;
+      zero t.no_fall;
+      zero t.opens;
+      zero t.ret_mask;
+      zero t.ret_val;
+      Array.fill t.state_cpl off t.tcols [];
+      Array.fill t.agg_effects off t.tcols [];
+      Bytes.unsafe_set t.row_fault row '\000'
+    end
+  done;
+  t.pinned <- [];
+  t.ret_cells <- [];
+  t.nopens <- 0;
+  Array.fill t.state 0 (Array.length t.state) 0;
+  Array.fill t.residue 0 (Array.length t.residue) 0
+
 let clear t =
   Array.fill t.state 0 (Array.length t.state) 0;
   (* re-assert pinned cells; for several stuck-ats on one (cell, lane)
@@ -194,7 +220,7 @@ let fire t i ~changed ~nv =
           end)
     t.agg_effects.(i)
 
-(* Lane-wise legacy write: open and pinned lanes keep their value, a
+(* Lane-wise per-bit write: open and pinned lanes keep their value, a
    transition-faulted lane blocks the offending edge, every other lane
    stores [d]; lanes whose stored value actually changed fire the
    cell's coupling effects. *)
@@ -212,7 +238,7 @@ let write_cell t i d =
     if changed <> 0 then fire t i ~changed ~nv
   end
 
-(* Lane-wise legacy read of cell [i] on I/O [io]: state-coupling
+(* Lane-wise per-bit read of cell [i] on I/O [io]: state-coupling
    entries override the stored value exactly like the scalar fold
    (the earliest-armed matching entry wins), open lanes return the
    sense residue untouched, every other lane refreshes it. *)
@@ -257,8 +283,8 @@ let write_exp t a exp =
 (* Read-and-compare: returns the mask of lanes whose word differs from
    the expanded expected word — the lane-wise comparator/MISR
    reduction.  The fast path (clean row, no stuck-open anywhere) skips
-   the residue refresh for the same reason the scalar model may: with
-   no open cell the residue is unobservable. *)
+   the residue refresh: with no open cell on any lane the residue is
+   unobservable. *)
 let mismatch_exp t a exp =
   let base = Array.unsafe_get t.addr_base a in
   let acc = ref 0 in

@@ -16,11 +16,11 @@
     - state coupling: per-lane read overrides folded in the scalar
       model's entry order.
 
-    Per lane the semantics equal {!Model}'s legacy path exactly (the
-    qcheck differential property in [test_lanes] pins them together);
-    there is deliberately no remap, because the batched campaign
-    scheduler only resolves lanes whose whole flow is clean — their
-    TLB is empty and their remap is the identity. *)
+    Per lane the semantics equal {!Model}'s per-bit fault machinery
+    exactly (the qcheck differential property in [test_lanes] pins
+    them together); there is deliberately no remap, because the
+    batched campaign scheduler only resolves lanes whose whole flow is
+    clean — their TLB is empty and their remap is the identity. *)
 
 type t
 
@@ -40,6 +40,12 @@ val all_mask : t -> int
     [set_faults] ends with a clear).
     @raise Invalid_argument on an out-of-range lane or fault cell. *)
 val arm : t -> lane:int -> Bisram_faults.Fault.t list -> unit
+
+(** Disarm every lane: afterwards [t] behaves exactly like
+    [create (org t) ~lanes:(nlanes t)], so one store serves batch after
+    batch of the same width ({!arm} each lane, then {!clear}).  Only
+    rows holding armed faults are walked, plus the cell values. *)
+val reset : t -> unit
 
 (** Power-up fill: zero every cell on every lane, re-assert stuck-at
     pins, forget the sense residue. *)

@@ -6,26 +6,22 @@ type agg_effect =
 
 type t = {
   org : Org.t;
-  ncells : int;
   nrows : int;
   cols : int; (* regular physical columns: bpw * bpc *)
-  (* Row stride of the cell arrays: cols + spare_cols.  Cells at
-     offsets cols .. tcols-1 within a row are the spare columns; they
-     are reachable only through an armed column remap (and by fault
-     arming), and they always live in the byte store — the packed store
-     covers exactly the regular [cols] grid. *)
+  (* Row stride of the per-cell fault arrays: cols + spare_cols.  Cells
+     at offsets cols .. tcols-1 within a row are the spare columns;
+     they are reachable only through an armed column remap (and by
+     fault arming). *)
   tcols : int;
   bpc : int;
   bpw : int;
-  (* Packed fast-path store: one int per (row, col-mux) word, bit [b]
-     of slot [row * bpc + col] = cell (row, b*bpc + col).  Authoritative
-     for every row without armed fault machinery while [fast] is on. *)
+  (* The one data store.  Regular grid: one int per (row, col-mux)
+     word, bit [b] of slot [row * bpc + col] = cell (row, b*bpc + col).
+     Spare columns: one int per row, bit [k] = cell (row, cols + k). *)
   packed : int array;
-  (* Legacy byte-per-cell store: authoritative for fault-armed rows
-     (and for every row when [fast] is off). *)
-  cells : Bytes.t;
-  (* fault indices, one slot per physical cell *)
+  spare : int array;
   mutable fault_list : F.t list;
+  (* per-cell fault machinery, one slot per physical cell *)
   pin : bool option array;
   no_rise : bool array;
   no_fall : bool array;
@@ -33,34 +29,32 @@ type t = {
   retention : bool option array;
   state_cpl : (int * bool * bool) list array; (* victim -> (agg, state, reads_as) *)
   agg_effects : agg_effect list array; (* aggressor -> effects *)
-  sense_residue : bool array; (* one per I/O (bpw) *)
+  mutable residue : int; (* sense-amp residue, bit [io] per I/O *)
   mutable remap : (int -> int) option;
   (* Column steering (2D BIRA): maps a regular physical column to the
      physical column actually accessed (a spare column for repaired
      lines, itself everywhere else).  While armed, every word access
-     takes the per-bit path — the packed fast path assumes the identity
+     takes the per-bit path — the word path assumes the identity
      column map. *)
   mutable col_remap : (int -> int) option;
   mutable n_reads : int;
   mutable n_writes : int;
   (* Access-regime telemetry: how many of the reads/writes took the
-     packed fast path, plus the row traffic of [set_fast_path]
-     migrations and [clear].  Plain unconditional increments adjacent
-     to the ones above — cheaper than any enabled-check would be. *)
+     word path, plus the row traffic of [clear].  Plain unconditional
+     increments adjacent to the ones above — cheaper than any
+     enabled-check would be. *)
   mutable n_fast_reads : int;
   mutable n_fast_writes : int;
-  mutable n_rows_migrated : int;
   mutable n_rows_cleared : int;
-  (* Fast-path bookkeeping.  [row_fault] marks every row on which any
-     fault machinery is armed (fault site, coupling aggressor or
-     victim); [row_written] marks rows whose data may differ from the
-     power-up zeros.  [nfaults]/[nopens] are the armed totals, so the
-     all-clean test is a single integer compare. *)
-  mutable nfaults : int;
-  mutable nopens : int;
+  (* [word_armed] marks every (row, col-mux) word holding an armed cell
+     (fault site, coupling aggressor or victim, state-coupling victim):
+     only those words take the per-bit path.  [row_fault] marks the
+     rows holding any armed cell, spare columns included, for teardown
+     and [clear]; [row_written] marks rows whose data may differ from
+     the power-up zeros. *)
+  word_armed : Bytes.t;
   row_fault : Bytes.t;
   row_written : Bytes.t;
-  mutable fast : bool; (* test seam: disable to force the legacy path *)
 }
 
 let org t = t.org
@@ -77,14 +71,13 @@ let create org =
   let tcols = Org.total_cols org in
   let ncells = nrows * tcols in
   { org
-  ; ncells
   ; nrows
   ; cols
   ; tcols
   ; bpc = org.Org.bpc
   ; bpw = org.Org.bpw
   ; packed = Array.make (nrows * org.Org.bpc) 0
-  ; cells = Bytes.make ncells '\000'
+  ; spare = Array.make nrows 0
   ; fault_list = []
   ; pin = Array.make ncells None
   ; no_rise = Array.make ncells false
@@ -93,20 +86,17 @@ let create org =
   ; retention = Array.make ncells None
   ; state_cpl = Array.make ncells []
   ; agg_effects = Array.make ncells []
-  ; sense_residue = Array.make org.Org.bpw false
+  ; residue = 0
   ; remap = None
   ; col_remap = None
   ; n_reads = 0
   ; n_writes = 0
   ; n_fast_reads = 0
   ; n_fast_writes = 0
-  ; n_rows_migrated = 0
   ; n_rows_cleared = 0
-  ; nfaults = 0
-  ; nopens = 0
+  ; word_armed = Bytes.make (nrows * org.Org.bpc) '\000'
   ; row_fault = Bytes.make nrows '\000'
   ; row_written = Bytes.make nrows '\000'
-  ; fast = true
   }
 
 let idx t (c : F.cell) =
@@ -116,76 +106,41 @@ let idx t (c : F.cell) =
     invalid_arg "Model: fault col out of range";
   (c.F.row * t.tcols) + c.F.col
 
-let row_is_faulty t row = Bytes.unsafe_get t.row_fault row <> '\000'
-let mark_row_fault t row = Bytes.unsafe_set t.row_fault row '\001'
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
-(* A cell's data lives in [packed] iff its row is in the fast regime.
-   Rows change regime only inside [set_faults] (whose trailing [clear]
-   wipes both stores back to power-up zeros) and [set_fast_path] (which
-   migrates the data), so the two stores never disagree. *)
-let row_in_packed t row = t.fast && not (row_is_faulty t row)
+(* Arm cell [c]: its word (spare-column cells belong to none) leaves
+   the word path and its row joins the teardown set. *)
+let arm t (c : F.cell) =
+  let i = idx t c in
+  Bytes.unsafe_set t.row_fault c.F.row '\001';
+  if c.F.col < t.cols then
+    Bytes.unsafe_set t.word_armed
+      ((c.F.row * t.bpc) + (c.F.col mod t.bpc))
+      '\001';
+  i
 
-(* Cell-granular access used by the legacy fault machinery.  Regime
-   aware: a State_coupling victim re-reads its aggressor's stored
-   state, and the aggressor may sit on a clean (packed) row. *)
+let with_bit x bit v = if v then x lor (1 lsl bit) else x land lnot (1 lsl bit)
+
+(* Cell-granular access for the per-bit fault machinery: a bit of the
+   cell's packed word, or of its row's spare-column int. *)
 let stored t i =
   let row = i / t.tcols in
   let c = i - (row * t.tcols) in
-  if c < t.cols && row_in_packed t row then begin
-    let col = c mod t.bpc and bit = c / t.bpc in
-    (Array.unsafe_get t.packed ((row * t.bpc) + col) lsr bit) land 1 = 1
-  end
-  else Bytes.get t.cells i <> '\000'
+  if c < t.cols then
+    (Array.unsafe_get t.packed ((row * t.bpc) + (c mod t.bpc)) lsr (c / t.bpc))
+    land 1
+    = 1
+  else (Array.unsafe_get t.spare row lsr (c - t.cols)) land 1 = 1
 
 let store t i v =
   let row = i / t.tcols in
   let c = i - (row * t.tcols) in
-  if c < t.cols && row_in_packed t row then begin
-    let col = c mod t.bpc and bit = c / t.bpc in
-    let slot = (row * t.bpc) + col in
-    let cur = Array.unsafe_get t.packed slot in
+  if c < t.cols then begin
+    let slot = (row * t.bpc) + (c mod t.bpc) in
     Array.unsafe_set t.packed slot
-      (if v then cur lor (1 lsl bit) else cur land lnot (1 lsl bit))
+      (with_bit (Array.unsafe_get t.packed slot) (c / t.bpc) v)
   end
-  else Bytes.set t.cells i (if v then '\001' else '\000')
-
-let set_fast_path t on =
-  if on <> t.fast then begin
-    (* migrate every clean row between the two stores so the regime
-       switch is observationally silent (fault-armed rows already live
-       in the byte store on both sides) *)
-    for row = 0 to t.nrows - 1 do
-      if not (row_is_faulty t row) then begin
-        t.n_rows_migrated <- t.n_rows_migrated + 1;
-        (* only the regular [cols] grid migrates; spare-column cells
-           are byte-store residents in both regimes *)
-        for col = 0 to t.bpc - 1 do
-          let slot = (row * t.bpc) + col in
-          let base = (row * t.tcols) + col in
-          if on then begin
-            let v = ref 0 in
-            for bit = 0 to t.bpw - 1 do
-              if Bytes.unsafe_get t.cells (base + (bit * t.bpc)) <> '\000'
-              then v := !v lor (1 lsl bit);
-              Bytes.unsafe_set t.cells (base + (bit * t.bpc)) '\000'
-            done;
-            t.packed.(slot) <- !v
-          end
-          else begin
-            let v = t.packed.(slot) in
-            for bit = 0 to t.bpw - 1 do
-              Bytes.unsafe_set t.cells
-                (base + (bit * t.bpc))
-                (if (v lsr bit) land 1 = 1 then '\001' else '\000')
-            done;
-            t.packed.(slot) <- 0
-          end
-        done
-      end
-    done;
-    t.fast <- on
-  end
+  else Array.unsafe_set t.spare row (with_bit t.spare.(row) (c - t.cols) v)
 
 let clear t =
   (* power-up fill, dirty rows only: a row holds non-zero data only if
@@ -196,8 +151,8 @@ let clear t =
       Bytes.unsafe_get t.row_written row <> '\000'
       || Bytes.unsafe_get t.row_fault row <> '\000'
     then begin
-      Bytes.fill t.cells (row * t.tcols) t.tcols '\000';
       Array.fill t.packed (row * t.bpc) t.bpc 0;
+      t.spare.(row) <- 0;
       Bytes.unsafe_set t.row_written row '\000';
       t.n_rows_cleared <- t.n_rows_cleared + 1
     end
@@ -207,7 +162,7 @@ let clear t =
   List.iter
     (fun f -> match f with F.Stuck_at (c, v) -> store t (idx t c) v | _ -> ())
     t.fault_list;
-  Array.fill t.sense_residue 0 (Array.length t.sense_residue) false
+  t.residue <- 0
 
 let set_faults t faults =
   (* tear down the previous fault machinery, armed rows only *)
@@ -221,7 +176,8 @@ let set_faults t faults =
       Array.fill t.retention off t.tcols None;
       Array.fill t.state_cpl off t.tcols [];
       Array.fill t.agg_effects off t.tcols [];
-      (* the row may hold non-zero bytes planted by the old config
+      Bytes.fill t.word_armed (row * t.bpc) t.bpc '\000';
+      (* the row may hold non-zero data planted by the old config
          without [row_written] being set (pin re-assertion in [clear],
          retention decay, coupling force-stores), so flag it written:
          once [row_fault] drops, only that flag makes the final [clear]
@@ -231,47 +187,28 @@ let set_faults t faults =
     end
   done;
   t.fault_list <- faults;
-  t.nfaults <- 0;
-  t.nopens <- 0;
   List.iter
     (fun f ->
-      (match f with
-      | F.Stuck_at (c, v) ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          t.pin.(i) <- Some v
+      match f with
+      | F.Stuck_at (c, v) -> t.pin.(arm t c) <- Some v
       | F.Transition (c, up) ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
+          let i = arm t c in
           if up then t.no_rise.(i) <- true else t.no_fall.(i) <- true
-      | F.Stuck_open c ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          t.opens.(i) <- true;
-          t.nopens <- t.nopens + 1
-      | F.Data_retention (c, v) ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          t.retention.(i) <- Some v
+      | F.Stuck_open c -> t.opens.(arm t c) <- true
+      | F.Data_retention (c, v) -> t.retention.(arm t c) <- Some v
       | F.Coupling_inversion { aggressor; victim } ->
-          let a = idx t aggressor and v = idx t victim in
-          mark_row_fault t aggressor.F.row;
-          mark_row_fault t victim.F.row;
+          let a = arm t aggressor and v = arm t victim in
           t.agg_effects.(a) <- Invert v :: t.agg_effects.(a)
       | F.Coupling_idempotent { aggressor; rising; victim; forces } ->
-          let a = idx t aggressor and v = idx t victim in
-          mark_row_fault t aggressor.F.row;
-          mark_row_fault t victim.F.row;
+          let a = arm t aggressor and v = arm t victim in
           t.agg_effects.(a) <-
             Force { rising; victim = v; forces } :: t.agg_effects.(a)
       | F.State_coupling { aggressor; when_state; victim; reads_as } ->
-          let a = idx t aggressor and v = idx t victim in
-          (* only the victim's reads are special; plain writes to the
-             aggressor stay on the fast path because the victim re-reads
+          (* only the victim's reads are special; writes to the
+             aggressor stay on the word path because the victim re-reads
              the aggressor's stored state on every access *)
-          mark_row_fault t victim.F.row;
-          t.state_cpl.(v) <- (a, when_state, reads_as) :: t.state_cpl.(v));
-      t.nfaults <- t.nfaults + 1)
+          let a = idx t aggressor and v = arm t victim in
+          t.state_cpl.(v) <- (a, when_state, reads_as) :: t.state_cpl.(v))
     faults;
   clear t
 
@@ -297,7 +234,7 @@ let force_store t i v =
 
 (* A successful state change on cell [i] fires its aggressor effects.
    The effect walks below are top-level recursions over the model
-   rather than closures, so the per-cell path allocates nothing. *)
+   rather than closures, so the per-bit path allocates nothing. *)
 let rec fire_effects t new_v = function
   | [] -> ()
   | Invert victim :: rest ->
@@ -333,10 +270,11 @@ let rec coupled_read t acc = function
       coupled_read t (if stored t agg = st then reads_as else acc) rest
 
 let read_bit t ~io i =
-  if t.opens.(i) then t.sense_residue.(io) (* SOF: sense amp keeps residue *)
+  if t.opens.(i) then (* SOF: the sense amp keeps its residue *)
+    (t.residue lsr io) land 1 = 1
   else begin
     let v = coupled_read t (stored t i) t.state_cpl.(i) in
-    t.sense_residue.(io) <- v;
+    t.residue <- with_bit t.residue io v;
     v
   end
 
@@ -346,18 +284,19 @@ let physical_row t row =
 let check_word t w =
   if Word.width w <> t.bpw then invalid_arg "Model: word width mismatch"
 
-(* A write lands on the fast path when the target row has no fault
-   machinery armed: no pins/transition/open faults to consult and no
-   aggressor effects to fire (aggressor rows are always marked).  The
-   packed store makes it a single array store of the word's int. *)
+(* A write takes the word path when no column map is armed and the
+   target word holds no armed cell: no pins/transition/open faults to
+   consult and no aggressor effects to fire (aggressors are always
+   armed).  It is then a single store of the word's int. *)
 let write_phys t ~row ~col w =
   check_word t w;
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
   (match t.col_remap with
   | None ->
-      if t.fast && (t.nfaults = 0 || not (row_is_faulty t row)) then begin
-        Array.unsafe_set t.packed ((row * t.bpc) + col) (Word.to_int w);
+      let slot = (row * t.bpc) + col in
+      if Bytes.unsafe_get t.word_armed slot = '\000' then begin
+        Array.unsafe_set t.packed slot (Word.to_int w);
         t.n_fast_writes <- t.n_fast_writes + 1
       end
       else
@@ -373,9 +312,8 @@ let write_phys t ~row ~col w =
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
-(* Per-cell read of a whole word, bits in increasing order: that order
-   is the per-I/O sense-residue update sequence the stuck-open model
-   depends on. *)
+(* Per-bit read of a whole word, bits in increasing order: bit [b]
+   refreshes (or, through an open cell, returns) I/O [b]'s residue. *)
 let read_cells t ~row ~col =
   let base = row * t.tcols in
   let v = ref 0 in
@@ -392,23 +330,21 @@ let read_cells t ~row ~col =
       done);
   !v
 
-(* A read is fast when no column map is armed, the row is clean AND no
-   stuck-open fault exists anywhere: the legacy path refreshes the
-   per-I/O sense residue on every read, which is observable only
-   through an open cell, so with [nopens = 0] skipping the refresh
-   cannot change any later read.  The fast case is a single array
-   load of the packed value. *)
+(* A read takes the word path when no column map is armed and the word
+   holds no armed cell.  With no open cell in the word every I/O's
+   residue becomes the bit it reads, so the per-bit residue refresh
+   collapses to [residue <- v]: a single load and store. *)
 let read_phys t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
+  let slot = (row * t.bpc) + col in
   let v =
     match t.col_remap with
-    | None
-      when t.fast
-           && (t.nfaults = 0 || (t.nopens = 0 && not (row_is_faulty t row)))
-      ->
+    | None when Bytes.unsafe_get t.word_armed slot = '\000' ->
+        let v = Array.unsafe_get t.packed slot in
+        t.residue <- v;
         t.n_fast_reads <- t.n_fast_reads + 1;
-        Array.unsafe_get t.packed ((row * t.bpc) + col)
+        v
     | None | Some _ -> read_cells t ~row ~col
   in
   t.n_reads <- t.n_reads + 1;
@@ -428,8 +364,8 @@ let read_row_word t ~row ~col = Word.of_int ~width:t.bpw (read_phys t ~row ~col)
 let write_row_word t ~row ~col w = write_phys t ~row ~col w
 
 (* Decay is confined to retention-faulty cells, so walking the armed
-   fault list replaces the legacy O(ncells) array scan; for several
-   retention faults on one cell the last one wins on both paths. *)
+   fault list replaces an O(ncells) array scan; for several retention
+   faults on one cell the last one wins. *)
 let rec decay t = function
   | [] -> ()
   | F.Data_retention (c, v) :: rest ->
@@ -448,7 +384,6 @@ type stats = {
   s_writes : int;
   s_fast_reads : int;
   s_fast_writes : int;
-  s_rows_migrated : int;
   s_rows_cleared : int;
 }
 
@@ -457,7 +392,6 @@ let reset_stats t =
   t.n_writes <- 0;
   t.n_fast_reads <- 0;
   t.n_fast_writes <- 0;
-  t.n_rows_migrated <- 0;
   t.n_rows_cleared <- 0
 
 let stats t =
@@ -465,6 +399,5 @@ let stats t =
   ; s_writes = t.n_writes
   ; s_fast_reads = t.n_fast_reads
   ; s_fast_writes = t.n_fast_writes
-  ; s_rows_migrated = t.n_rows_migrated
   ; s_rows_cleared = t.n_rows_cleared
   }

@@ -5,14 +5,14 @@
     optional row remap installed by the BISR logic, and a retention
     "wait" operation for IFA-9 data-retention testing.
 
-    Storage is split by regime.  Rows with no armed fault machinery
-    live in a packed store — one native int per (row, column-mux)
-    word — so a clean-array access is a single array load/store of
-    {!Word.to_int}/{!Word.of_int}.  Fault-armed rows live in a legacy
-    byte-per-cell store driven by the per-cell fault machinery.  A row
-    changes regime only inside {!set_faults} (whose trailing {!clear}
-    restores power-up zeros in both stores) and {!set_fast_path}
-    (which migrates the data), so the stores never disagree. *)
+    One packed store holds every cell: one native int per (row,
+    column-mux) word of the regular grid, plus one int per row for the
+    spare columns.  Fault arming is word-granular: a word holding no
+    armed cell (no fault site, coupling endpoint or state-coupling
+    victim) is accessed with a single array load/store of
+    {!Word.to_int}/{!Word.of_int} — its read sets the sense residue to
+    the word read — while a word holding one runs the per-bit fault
+    machinery on the bits of that same store. *)
 
 type t
 
@@ -36,8 +36,8 @@ val set_remap : t -> (int -> int) option -> unit
     resolves bit [b] at physical column [f (b*bpc + col)] instead of
     [b*bpc + col].  Spare columns occupy physical columns
     [cols .. total_cols - 1].  While a map is armed every word access
-    takes the per-bit path (the packed fast path assumes identity
-    steering); [None] restores identity and re-enables the fast path.
+    takes the per-bit path (the word path assumes identity steering);
+    [None] restores identity and re-enables the word path.
     @raise Invalid_argument if the map sends any regular column outside
     [0 .. total_cols - 1]. *)
 val set_col_remap : t -> (int -> int) option -> unit
@@ -73,14 +73,13 @@ val writes : t -> int
 type stats = {
   s_reads : int;  (** word reads (= {!reads}) *)
   s_writes : int;  (** word writes (= {!writes}) *)
-  s_fast_reads : int;  (** reads served by the packed fast path *)
-  s_fast_writes : int;  (** writes served by the packed fast path *)
-  s_rows_migrated : int;
-      (** clean rows moved between stores by {!set_fast_path} *)
+  s_fast_reads : int;  (** reads served by the word path *)
+  s_fast_writes : int;  (** writes served by the word path *)
   s_rows_cleared : int;  (** dirty rows zeroed by {!clear} *)
 }
 
-(** Access-regime counters since creation.  Legacy-path traffic is
+(** Access-regime counters since creation.  Per-bit traffic (accesses
+    to armed words, or under column steering) is
     [s_reads - s_fast_reads] / [s_writes - s_fast_writes].  These are
     plain per-model ints (no global telemetry involved); the campaign
     flushes them into the {!Bisram_obs.Obs} registry per trial. *)
@@ -97,10 +96,3 @@ val reset_stats : t -> unit
     stuck value); counters and faults are preserved.  Only rows written
     since the previous clear (plus fault-armed rows) are touched. *)
 val clear : t -> unit
-
-(** Testing seam: [set_fast_path t false] forces every access through
-    the legacy per-cell fault machinery, even on fault-free rows.  The
-    fast path (on by default) is observationally equivalent — the
-    [test_sram] qcheck property holds the two paths against each
-    other — so this is only for differential tests and benchmarks. *)
-val set_fast_path : t -> bool -> unit

@@ -24,8 +24,7 @@ val ones : int -> t
 val of_bits : bool array -> t
 
 (** [init n f] is the word whose bit [i] is [f i].  [f] is called in
-    increasing bit order 0..n-1 (the legacy read path of {!Model}
-    relies on that order for its sense-amplifier residue). *)
+    increasing bit order 0..n-1. *)
 val init : int -> (int -> bool) -> t
 
 (** Low [width] bits of an integer, bit 0 = LSB. *)

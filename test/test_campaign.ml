@@ -585,6 +585,52 @@ let prop_no_silent_escape_stuck_at =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* deterministic work ledger *)
+
+(* The default faulty campaign (64x8, bpc 4, 4 spare rows, IFA-9,
+   row-tlb, uniform 2 faults/trial, seed 42, 400 trials, lanes 62,
+   jobs 1) does a fixed amount of simulated work: these counts are
+   exact, so a change to the simulation kernels that does more or
+   different work shows here without any clock.  The per-bit share of
+   model reads bounds how much of that work leaves the word path. *)
+let test_work_counters_pinned () =
+  let module Obs = Bisram_obs.Obs in
+  let cfg =
+    C.make_config
+      ~org:(Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
+      ~march:Alg.ifa_9 ~mix:I.default_mix ~mode:(C.Uniform 2)
+      ~repair:C.Row_tlb ~trials:400 ~seed:42 ()
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (C.run ~jobs:1 ~lanes:62 cfg);
+        Obs.snapshot ())
+  in
+  let counter k = Option.value ~default:0 (List.assoc_opt k snap.Obs.counters) in
+  let cycles =
+    match List.assoc_opt "campaign.cycles" snap.Obs.hists with
+    | Some h -> h.Obs.sum
+    | None -> 0
+  in
+  Alcotest.(check int) "engine.ops" 7_103_360 (counter "engine.ops");
+  Alcotest.(check int) "campaign.cycles sum" 2_971_041 cycles;
+  Alcotest.(check int) "model.reads" 5_063_126 (counter "model.reads");
+  Alcotest.(check int) "model.writes" 4_675_588 (counter "model.writes");
+  let share =
+    float_of_int (counter "model.legacy_reads")
+    /. float_of_int (counter "model.reads")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "per-bit read share %.4f <= 0.05" share)
+    true (share <= 0.05)
+
 let () =
   Alcotest.run "campaign"
     [ ( "json"
@@ -632,6 +678,10 @@ let () =
             test_golden_v2_bytes_frozen
         ; Alcotest.test_case "observed yield brackets analytic" `Slow
             test_yield_brackets_analytic
+        ] )
+    ; ( "ledger"
+      , [ Alcotest.test_case "tlb-2f work counters pinned" `Quick
+            test_work_counters_pinned
         ] )
     ; ( "resilience"
       , [ QCheck_alcotest.to_alcotest prop_kill_resume_byte_identical

@@ -102,6 +102,43 @@ let prop_lanes_equal_scalar_models =
                 (List.mapi (fun l m -> (l, m)) models))
         ops)
 
+(* A store that ran a batch and was then [reset] and re-armed behaves
+   exactly like a fresh store armed the same way: the campaign reuses
+   one store for every lane batch of a run. *)
+let prop_reset_equals_fresh =
+  QCheck.Test.make ~name:"reset store = fresh store" ~count:100
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 10))
+    (fun (seed, lanes) ->
+      let org = Org.make ~words:16 ~bpw:4 ~bpc:2 ~spares:4 ~spare_cols:1 () in
+      let rng = Random.State.make [| 0x5e7; seed |] in
+      let draw n =
+        List.init n (fun _ ->
+            I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.total_cols org)
+              ~mix:I.default_mix
+              ~n:(Random.State.int rng 5))
+      in
+      let arm batch fault_sets =
+        List.iteri (fun l f -> Lanes.arm batch ~lane:l f) fault_sets;
+        Lanes.clear batch
+      in
+      let drive batch =
+        List.init 40 (fun i ->
+            let a = i * 7 mod org.Org.words in
+            if i mod 9 = 0 then Lanes.retention_wait batch;
+            Lanes.write_word batch a (Word.of_int ~width:4 (i * 5));
+            ( Lanes.read_bits batch ((a + 3) mod org.Org.words)
+            , Lanes.read_mismatch batch a (Word.of_int ~width:4 i) ))
+      in
+      let used = Lanes.create org ~lanes in
+      arm used (draw lanes);
+      ignore (drive used);
+      Lanes.reset used;
+      let fault_sets = draw lanes in
+      arm used fault_sets;
+      let fresh = Lanes.create org ~lanes in
+      arm fresh fault_sets;
+      drive used = drive fresh)
+
 (* the lane march engine agrees with the scalar engine's pass/fail
    verdict per lane, for random per-lane fault sets *)
 let prop_lane_engine_verdicts =
@@ -268,6 +305,7 @@ let () =
     [ ( "differential"
       , [ QCheck_alcotest.to_alcotest prop_lanes_equal_scalar_models
         ; QCheck_alcotest.to_alcotest prop_lane_engine_verdicts
+        ; QCheck_alcotest.to_alcotest prop_reset_equals_fresh
         ] )
     ; ( "report-identity"
       , [ Alcotest.test_case "fault-free" `Quick test_report_identity_fault_free

@@ -366,12 +366,142 @@ let prop_model_rw_roundtrip =
       Model.write_word m addr w;
       Word.equal w (Model.read_word m addr))
 
-(* Differential check of the fault-free fast path against the legacy
-   per-cell machinery: same faults, same operation sequence, every read
-   and the access counters must agree — on fault-free arrays (n = 0)
-   and on random fault sets of every class, including spare rows. *)
-let prop_fast_path_equals_legacy =
-  QCheck.Test.make ~name:"fast path agrees with legacy path" ~count:150
+(* ------------------------------------------------------------------ *)
+(* Model vs the per-cell reference (Sram_reference) *)
+
+module Ref = Sram_reference
+
+type op =
+  | W of int * int
+  | R of int
+  | Ri of int
+  | Spare_w of int * int
+  | Spare_r of int
+  | Remap of int * int
+  | Unmap
+  | Steer of int * int
+  | Unsteer
+  | Rearm
+  | Wait
+  | Clear
+
+(* Drive one op script through [Model] and through the reference from
+   the same armed faults: the read log and the read/write counts, plus
+   the model's access-regime counters. *)
+let drive_model org faults ops =
+  let m = Model.create org in
+  Model.set_faults m faults;
+  let spare = Org.rows org and word v = Word.of_int ~width:org.Org.bpw v in
+  let log =
+    List.filter_map
+      (function
+        | W (a, v) ->
+            Model.write_word m a (word v);
+            None
+        | R a -> Some (Word.to_int (Model.read_word m a))
+        | Ri a -> Some (Model.read_int m a)
+        | Spare_w (k, v) ->
+            Model.write_row_word m ~row:(spare + k) ~col:0 (word v);
+            None
+        | Spare_r k ->
+            Some (Word.to_int (Model.read_row_word m ~row:(spare + k) ~col:0))
+        | Remap (r, k) ->
+            Model.set_remap m
+              (Some (fun row -> if row = r then spare + k else row));
+            None
+        | Unmap ->
+            Model.set_remap m None;
+            None
+        | Steer (p, q) ->
+            Model.set_col_remap m (Some (fun c -> if c = p then q else c));
+            None
+        | Unsteer ->
+            Model.set_col_remap m None;
+            None
+        | Rearm ->
+            Model.set_faults m faults;
+            None
+        | Wait ->
+            Model.retention_wait m;
+            None
+        | Clear ->
+            Model.clear m;
+            None)
+      ops
+  in
+  ((log, Model.reads m, Model.writes m), Model.stats m)
+
+let drive_reference org faults ops =
+  let r = Ref.create org in
+  Ref.set_faults r faults;
+  let spare = Org.rows org in
+  let log =
+    List.filter_map
+      (function
+        | W (a, v) ->
+            Ref.write_int r a v;
+            None
+        | R a | Ri a -> Some (Ref.read_int r a)
+        | Spare_w (k, v) ->
+            Ref.write_row_int r ~row:(spare + k) ~col:0 v;
+            None
+        | Spare_r k -> Some (Ref.read_row_int r ~row:(spare + k) ~col:0)
+        | Remap (row', k) ->
+            Ref.set_remap r
+              (Some (fun row -> if row = row' then spare + k else row));
+            None
+        | Unmap ->
+            Ref.set_remap r None;
+            None
+        | Steer (p, q) ->
+            Ref.set_col_remap r (Some (fun c -> if c = p then q else c));
+            None
+        | Unsteer ->
+            Ref.set_col_remap r None;
+            None
+        | Rearm ->
+            Ref.set_faults r faults;
+            None
+        | Wait ->
+            Ref.retention_wait r;
+            None
+        | Clear ->
+            Ref.clear r;
+            None)
+      ops
+  in
+  (log, Ref.reads r, Ref.writes r)
+
+(* Word-path and per-bit accesses summed over a property's cases, so
+   the property can prove it reached both. *)
+let path_counts = ref (0, 0)
+
+let agrees org faults ops =
+  let result, s = drive_model org faults ops in
+  let w, b = !path_counts in
+  path_counts :=
+    ( w + s.Model.s_fast_reads + s.Model.s_fast_writes
+    , b
+      + (s.Model.s_reads - s.Model.s_fast_reads)
+      + (s.Model.s_writes - s.Model.s_fast_writes) );
+  result = drive_reference org faults ops
+
+let reaching_both_paths prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name
+  , speed
+  , fun () ->
+      path_counts := (0, 0);
+      run ();
+      let w, b = !path_counts in
+      Alcotest.(check bool) "word path exercised" true (w > 0);
+      Alcotest.(check bool) "per-bit path exercised" true (b > 0) )
+
+(* Same faults, same operation sequence: every read and the access
+   counters must agree — on fault-free arrays (n = 0) and on random
+   fault sets of every class, including spare rows. *)
+let prop_model_equals_reference =
+  QCheck.Test.make ~name:"agrees with per-cell reference" ~count:150
     QCheck.(pair (int_range 0 100_000) (int_range 0 6))
     (fun (seed, n) ->
       let module I = Bisram_faults.Injection in
@@ -381,61 +511,31 @@ let prop_fast_path_equals_legacy =
         I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
           ~mix:I.default_mix ~n
       in
-      let spare = Org.rows org in
       let ops =
         List.init 250 (fun _ ->
             match Random.State.int rng 10 with
-            | 0 -> `Wait
-            | 1 -> `Clear
-            | 2 -> `Spare_w (Random.State.int rng org.Org.spares,
-                             Random.State.int rng 256)
-            | 3 -> `Spare_r (Random.State.int rng org.Org.spares)
+            | 0 -> Wait
+            | 1 -> Clear
+            | 2 ->
+                Spare_w
+                  (Random.State.int rng org.Org.spares, Random.State.int rng 256)
+            | 3 -> Spare_r (Random.State.int rng org.Org.spares)
             | 4 | 5 | 6 ->
-                `W (Random.State.int rng org.Org.words,
-                    Random.State.int rng 256)
-            | _ -> `R (Random.State.int rng org.Org.words))
+                W (Random.State.int rng org.Org.words, Random.State.int rng 256)
+            | _ -> R (Random.State.int rng org.Org.words))
       in
-      let drive fast =
-        let m = Model.create org in
-        Model.set_fast_path m fast;
-        Model.set_faults m faults;
-        let log =
-          List.filter_map
-            (fun op ->
-              match op with
-              | `W (a, v) ->
-                  Model.write_word m a (Word.of_int ~width:8 v);
-                  None
-              | `R a -> Some (Word.to_string (Model.read_word m a))
-              | `Spare_w (k, v) ->
-                  Model.write_row_word m ~row:(spare + k) ~col:0
-                    (Word.of_int ~width:8 v);
-                  None
-              | `Spare_r k ->
-                  Some (Word.to_string (Model.read_row_word m ~row:(spare + k) ~col:0))
-              | `Wait ->
-                  Model.retention_wait m;
-                  None
-              | `Clear ->
-                  Model.clear m;
-                  None)
-            ops
-        in
-        (log, Model.reads m, Model.writes m)
-      in
-      drive true = drive false)
+      agrees org faults ops)
 
 (* Same differential with the BISR remap in the loop: ops install and
    remove logical-to-spare row translations and spare-column steering
-   mid-stream, plus fast-path toggles (exercising the packed<->byte
-   store migration), so reads through a remap of clean and faulty rows
-   must agree byte for byte with the legacy machinery.  Reads go
-   through both [read_int] and [read_word].  Odd seeds add a stuck-open
-   cell, so the per-cell path's increasing-bit sense-residue order is
-   observable; even seeds keep the fault-free and open-free cases that
-   take the packed fast read. *)
-let prop_fast_path_equals_legacy_remap =
-  QCheck.Test.make ~name:"fast path agrees with legacy path under remap"
+   mid-stream, and re-arm the faults (tearing the fault machinery down
+   and back up), so reads through a remap of clean and faulty rows must
+   agree with the reference.  Reads go through both [read_int] and
+   [read_word].  Odd seeds add a stuck-open cell, so the per-bit path's
+   sense residue is observable from every word; even seeds keep the
+   fault-free and open-free cases. *)
+let prop_model_equals_reference_remap =
+  QCheck.Test.make ~name:"agrees with per-cell reference, remapped"
     ~count:150
     QCheck.(pair (int_range 0 100_000) (int_range 0 5))
     (fun (seed, n) ->
@@ -455,76 +555,89 @@ let prop_fast_path_equals_legacy_remap =
                (Random.State.int rng (Org.cols org)))
           :: injected
       in
-      let spare = Org.rows org in
       let ops =
         List.init 300 (fun _ ->
             match Random.State.int rng 15 with
-            | 0 -> `Wait
-            | 1 -> `Clear
+            | 0 -> Wait
+            | 1 -> Clear
             | 2 ->
-                `Remap
+                Remap
                   ( Random.State.int rng (Org.rows org)
                   , Random.State.int rng org.Org.spares )
-            | 3 -> `Unmap
-            | 4 -> `Toggle
+            | 3 -> Unmap
+            | 4 -> Rearm
             | 5 ->
-                `Steer
+                Steer
                   ( Random.State.int rng (Org.cols org)
                   , Org.cols org + Random.State.int rng org.Org.spare_cols )
-            | 6 -> `Unsteer
+            | 6 -> Unsteer
             | 7 | 8 | 9 ->
-                `W (Random.State.int rng org.Org.words,
-                    Random.State.int rng 256)
-            | 10 | 11 -> `Ri (Random.State.int rng org.Org.words)
-            | _ -> `R (Random.State.int rng org.Org.words))
+                W (Random.State.int rng org.Org.words, Random.State.int rng 256)
+            | 10 | 11 -> Ri (Random.State.int rng org.Org.words)
+            | _ -> R (Random.State.int rng org.Org.words))
       in
-      let drive fast =
-        let m = Model.create org in
-        Model.set_fast_path m fast;
-        Model.set_faults m faults;
-        let on = ref fast in
-        let log =
-          List.filter_map
-            (fun op ->
-              match op with
-              | `W (a, v) ->
-                  Model.write_word m a (Word.of_int ~width:8 v);
-                  None
-              | `R a -> Some (Word.to_string (Model.read_word m a))
-              | `Ri a -> Some (string_of_int (Model.read_int m a))
-              | `Remap (r, k) ->
-                  Model.set_remap m
-                    (Some (fun row -> if row = r then spare + k else row));
-                  None
-              | `Unmap ->
-                  Model.set_remap m None;
-                  None
-              | `Steer (p, q) ->
-                  Model.set_col_remap m
-                    (Some (fun c -> if c = p then q else c));
-                  None
-              | `Unsteer ->
-                  Model.set_col_remap m None;
-                  None
-              | `Toggle ->
-                  (* only meaningful in the fast-driven model: the
-                     legacy-driven one stays legacy throughout *)
-                  if fast then begin
-                    on := not !on;
-                    Model.set_fast_path m !on
-                  end;
-                  None
-              | `Wait ->
-                  Model.retention_wait m;
-                  None
-              | `Clear ->
-                  Model.clear m;
-                  None)
-            ops
-        in
-        (log, Model.reads m, Model.writes m)
-      in
-      drive true = drive false)
+      agrees org faults ops)
+
+(* Targeted differentials for the word-granular arming: each script
+   agrees with the reference, reads the stated values, and takes the
+   stated number of word-path reads and writes.  Cell (3, 9) is bit 2
+   of address 13 (row 3, mux 1); (3, 10) is bit 2 of address 14. *)
+let check_script ?(org = small ()) what faults ops ~reads ~fast_reads
+    ~fast_writes =
+  let (log, _, _), s = drive_model org faults ops in
+  Alcotest.(check bool)
+    (what ^ ": agrees with the reference")
+    true
+    ((log, s.Model.s_reads, s.Model.s_writes)
+    = drive_reference org faults ops);
+  Alcotest.(check (list int)) (what ^ ": reads") reads log;
+  Alcotest.(check int) (what ^ ": word-path reads") fast_reads
+    s.Model.s_fast_reads;
+  Alcotest.(check int) (what ^ ": word-path writes") fast_writes
+    s.Model.s_fast_writes
+
+let test_open_cell_residue_from_clean_word () =
+  (* the word-path read of address 14 sets I/O 2's residue, which the
+     open cell in address 13 then returns *)
+  check_script "open cell" [ F.Stuck_open (cell 3 9) ]
+    [ W (13, 0xFF); W (14, 0xFF); R 14; R 13; W (14, 0); R 14; R 13 ]
+    ~reads:[ 0xFF; 0xFF; 0; 0xFB ] ~fast_reads:2 ~fast_writes:2
+
+let test_state_coupling_aggressor_in_clean_word () =
+  (* only the victim's word is armed: the aggressor's writes take the
+     word path and the victim's per-bit read still sees them *)
+  check_script "state coupling"
+    [ F.State_coupling
+        { aggressor = cell 3 9; when_state = true; victim = cell 3 10
+        ; reads_as = false }
+    ]
+    [ W (14, 0b100); R 14; W (13, 0b100); R 14; R 13; W (13, 0); R 14 ]
+    ~reads:[ 0b100; 0; 0b100; 0b100 ] ~fast_reads:1 ~fast_writes:2
+
+let test_coupling_victim_in_other_word () =
+  (* aggressor in address 13's word, victims in address 14's: an
+     inversion and a rising idempotent forcing 0 on another bit *)
+  check_script "coupling"
+    [ F.Coupling_inversion { aggressor = cell 3 9; victim = cell 3 10 }
+    ; F.Coupling_idempotent
+        { aggressor = cell 3 9; rising = true; victim = cell 3 14
+        ; forces = false }
+    ]
+    [ W (14, 0b1000); R 14; W (13, 0b100); R 14; W (13, 0b100); R 14
+    ; W (13, 0); R 14; R 15 ]
+    ~reads:[ 0b1000; 0b100; 0b100; 0; 0 ] ~fast_reads:1 ~fast_writes:0
+
+let test_spare_column_faults () =
+  (* spare columns 32 and 33: a pinned spare cell reached through
+     steering, and a spare-column coupling victim of a regular cell *)
+  let org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 () in
+  check_script ~org "spare columns"
+    [ F.Stuck_at (cell 3 32, true)
+    ; F.Coupling_inversion { aggressor = cell 3 9; victim = cell 3 33 }
+    ]
+    [ Steer (9, 32); W (13, 0); R 13; Unsteer; R 13; W (13, 0b100)
+    ; Steer (10, 33); R 14; Unsteer; R 14 ]
+    ~reads:[ 0b100; 0; 0b100; 0 ] ~fast_reads:1 ~fast_writes:0
 
 (* The campaign's model reuse: a model that ran anything (faults,
    remaps, steering, writes) and is then re-armed with
@@ -625,8 +738,16 @@ let () =
         ; Alcotest.test_case "remap" `Quick test_remap
         ; Alcotest.test_case "faulty spare" `Quick test_faulty_spare
         ; QCheck_alcotest.to_alcotest prop_model_rw_roundtrip
-        ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy
-        ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
+        ; reaching_both_paths prop_model_equals_reference
+        ; reaching_both_paths prop_model_equals_reference_remap
+        ; Alcotest.test_case "open cell, residue from a clean word" `Quick
+            test_open_cell_residue_from_clean_word
+        ; Alcotest.test_case "state-coupling aggressor in a clean word"
+            `Quick test_state_coupling_aggressor_in_clean_word
+        ; Alcotest.test_case "coupling victim in another word" `Quick
+            test_coupling_victim_in_other_word
+        ; Alcotest.test_case "spare-column faults" `Quick
+            test_spare_column_faults
         ; QCheck_alcotest.to_alcotest prop_rearm_counter_neutral
         ; Alcotest.test_case "clear covers dirty rows" `Quick
             test_clear_touches_only_dirty_rows
