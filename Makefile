@@ -1,4 +1,4 @@
-.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism ci clean
+.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism ci clean
 
 all: build
 
@@ -110,35 +110,29 @@ bench-check: build
 bench-check-advisory:
 	$(MAKE) bench-check BENCH_CHECK_FLAGS=--advisory
 
-# Telemetry wiring check: a tiny instrumented campaign must produce a
-# well-formed Chrome trace and metrics file with the always-present
-# keys (trial spans, campaign/model/pool counters, cycle histogram).
-trace-smoke: build
-	dune exec bin/bisramgen.exe -- campaign --trials 6 --seed 11 --jobs 2 \
-	  --trace .ci-trace-smoke.trace.json \
-	  --metrics .ci-trace-smoke.metrics.json > /dev/null
-	dune exec bench/trace_check.exe -- --trace .ci-trace-smoke.trace.json \
-	  --metrics .ci-trace-smoke.metrics.json
-	rm -f .ci-trace-smoke.trace.json .ci-trace-smoke.metrics.json
-	@echo "trace-smoke: OK"
-
-# Observability wiring check: a small campaign with the event log,
-# live progress and status file armed must (1) produce a JSONL event
-# log that strict-parses line by line with the run lifecycle pair and
-# a final status snapshot (events_check), and (2) produce a report
-# byte-identical to the same run with every observability channel off.
-events-smoke: build
+# Observability wiring check: one campaign with every channel armed
+# (trace, metrics, event log, live progress, status file) must
+# (1) produce a report byte-identical to the same run with every
+# channel off, and (2) leave artifacts that obs_check strict-parses:
+# a well-formed Chrome trace with trial spans, a metrics file with the
+# always-present counters and cycle histogram, a JSONL event log with
+# the run lifecycle pair in (ts_ns, tid, seq) order, and a final
+# status snapshot.
+obs-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 7 \
-	  --mix stuck-at --jobs 2 --events .ci-events.jsonl --progress \
-	  --status-file .ci-status.json > .ci-events-on.json 2> /dev/null
+	  --mix stuck-at --jobs 2 --trace .ci-obs.trace.json \
+	  --metrics .ci-obs.metrics.json --events .ci-obs.events.jsonl \
+	  --progress --status-file .ci-obs.status.json \
+	  > .ci-obs-on.json 2> /dev/null
 	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 7 \
-	  --mix stuck-at --jobs 2 > .ci-events-off.json
-	diff .ci-events-on.json .ci-events-off.json
-	dune exec bench/events_check.exe -- --events .ci-events.jsonl \
-	  --status .ci-status.json
-	rm -f .ci-events.jsonl .ci-status.json .ci-events-on.json \
-	  .ci-events-off.json
-	@echo "events-smoke: OK"
+	  --mix stuck-at --jobs 2 > .ci-obs-off.json
+	diff .ci-obs-on.json .ci-obs-off.json
+	dune exec bench/obs_check.exe -- --trace .ci-obs.trace.json \
+	  --metrics .ci-obs.metrics.json --events .ci-obs.events.jsonl \
+	  --status .ci-obs.status.json
+	rm -f .ci-obs.trace.json .ci-obs.metrics.json .ci-obs.events.jsonl \
+	  .ci-obs.status.json .ci-obs-on.json .ci-obs-off.json
+	@echo "obs-smoke: OK"
 
 # Bench trajectory page: render BENCH_history.jsonl to a static HTML
 # trend page (advisory against the committed baseline — same noise
@@ -248,7 +242,7 @@ resume-determinism: build
 	  .ci-resume.err
 	@echo "resume-determinism: OK"
 
-ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism
+ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism
 	@echo "ci: OK"
 
 clean:

@@ -22,7 +22,7 @@
 module C = Bisram_campaign.Campaign
 module E = Bisram_campaign.Estimator
 module Prop = Bisram_faults.Proposal
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 module Word = Bisram_sram.Word
@@ -729,12 +729,6 @@ let resilience () =
 (* --smoke: exercise the exporters end to end (write, re-read, parse,
    check required keys) so `make bench-smoke` catches exporter bit-rot *)
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let smoke_exporters () =
   Obs.set_enabled true;
   Obs.reset ();
@@ -750,9 +744,9 @@ let smoke_exporters () =
     let oc = open_out path in
     output_string oc (J.to_pretty_string doc);
     close_out oc;
-    let contents = read_file path in
+    let parsed = Gate.read_doc path in
     Sys.remove path;
-    match J.of_string contents with
+    match parsed with
     | Error e ->
         Printf.eprintf "bench_json: %s exporter wrote unparseable JSON: %s\n"
           label e;
@@ -779,20 +773,6 @@ let jget k j = Option.value ~default:J.Null (J.member k j)
 let jlist = function J.List l -> l | _ -> []
 
 let history_line doc =
-  let jobs1_tps =
-    match jlist (jget "runs" (jget "campaign" doc)) with
-    | first :: _ -> jget "trials_per_sec" first
-    | [] -> J.Null
-  in
-  let lane62_speedup =
-    Option.value ~default:J.Null
-      (List.find_map
-         (fun r ->
-           match J.member "lanes" r with
-           | Some (J.Int 62) -> J.member "speedup_vs_scalar" r
-           | _ -> None)
-         (jlist (jget "runs" (jget "lanes" doc))))
-  in
   (* the lowest density is the last one benched — the headline row *)
   let lowest =
     match List.rev (jlist (jget "densities" (jget "estimator" doc))) with
@@ -825,18 +805,24 @@ let history_line doc =
       tm.Unix.tm_sec
   in
   J.Obj
-    [ ("schema", J.String "bisram-bench-history/1")
-    ; ("utc", J.String utc)
-    ; ("bench_schema", jget "schema" doc)
-    ; ("campaign_trials_per_sec_jobs1", jobs1_tps)
-    ; ("lanes62_speedup", lane62_speedup)
-    ; ("estimator_lambda", jget "lambda" lowest)
-    ; ("estimator_seconds_to_ci_naive", strategy_seconds "naive")
-    ; ("estimator_seconds_to_ci_stratified", strategy_seconds "stratified")
-    ; ("estimator_seconds_to_ci_importance", strategy_seconds "importance")
-    ; ("bira_greedy_allocs_per_sec", bira_allocs_per_sec "bira-greedy")
-    ; ("bira_bnb_allocs_per_sec", bira_allocs_per_sec "bira-bnb")
-    ]
+    ([ ("schema", J.String "bisram-bench-history/1")
+     ; ("utc", J.String utc)
+     ; ("bench_schema", jget "schema" doc)
+     ]
+    (* the gated figures, under the keys bench_page reads them by *)
+    @ List.map
+        (fun (f : Gate.figure) ->
+          ( f.history_key
+          , Option.fold ~none:J.Null ~some:(fun v -> J.Float v) (f.of_bench doc)
+          ))
+        Gate.figures
+    @ [ ("estimator_lambda", jget "lambda" lowest)
+      ; ("estimator_seconds_to_ci_naive", strategy_seconds "naive")
+      ; ("estimator_seconds_to_ci_stratified", strategy_seconds "stratified")
+      ; ("estimator_seconds_to_ci_importance", strategy_seconds "importance")
+      ; ("bira_greedy_allocs_per_sec", bira_allocs_per_sec "bira-greedy")
+      ; ("bira_bnb_allocs_per_sec", bira_allocs_per_sec "bira-bnb")
+      ])
 
 let append_history ~path doc =
   (* History.append is skip-and-warn over whatever is already in the

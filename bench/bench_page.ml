@@ -3,9 +3,8 @@
    self-contained HTML page with a sparkline and value table per
    metric, plus a latest-vs-baseline regression verdict.
 
-   The verdict reuses bench_check's gate exactly (floor =
-   baseline * (1 - tolerance), 35% by default, same two headline
-   figures) so the page and the CI gate can never disagree about what
+   The verdict is bench_check's gate: the figures and floor rule of
+   {!Gate}, so the page and the CI gate cannot disagree about what
    counts as a regression.  --check additionally makes the exit status
    carry the verdict (1 on regression) so the renderer doubles as a
    trajectory-level CI gate; --advisory downgrades that to a warning
@@ -15,21 +14,11 @@
    (conflict markers, truncated appends) are skipped with a warning
    and rendered as a damage note on the page, never a crash. *)
 
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module History = Bisram_obs.History
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let number = function
-  | Some (J.Int i) -> Some (float_of_int i)
-  | Some (J.Float f) -> Some f
-  | _ -> None
-
-let jstring = function Some (J.String s) -> Some s | _ -> None
+let number key r = Result.to_option (J.field key J.number r)
+let utc r = Result.value ~default:"?" (J.field "utc" J.string r)
 
 (* ------------------------------------------------------------------ *)
 (* tracked metrics *)
@@ -41,7 +30,6 @@ type metric = {
   m_label : string;
   m_unit : string;
   m_dir : dir;
-  m_gated : bool;  (* compared against the committed baseline *)
 }
 
 let metrics =
@@ -49,31 +37,26 @@ let metrics =
     ; m_label = "Campaign throughput, jobs = 1"
     ; m_unit = "trials/s"
     ; m_dir = Higher_better
-    ; m_gated = true
     }
   ; { m_key = "lanes62_speedup"
     ; m_label = "Lane batching speedup, 62 lanes vs scalar"
     ; m_unit = "x"
     ; m_dir = Higher_better
-    ; m_gated = true
     }
   ; { m_key = "estimator_seconds_to_ci_naive"
     ; m_label = "Estimator: seconds to target CI, naive sampling"
     ; m_unit = "s"
     ; m_dir = Lower_better
-    ; m_gated = false
     }
   ; { m_key = "estimator_seconds_to_ci_stratified"
     ; m_label = "Estimator: seconds to target CI, stratified proposal"
     ; m_unit = "s"
     ; m_dir = Lower_better
-    ; m_gated = false
     }
   ; { m_key = "estimator_seconds_to_ci_importance"
     ; m_label = "Estimator: seconds to target CI, importance sampling"
     ; m_unit = "s"
     ; m_dir = Lower_better
-    ; m_gated = false
     }
   ]
 
@@ -81,60 +64,9 @@ let metrics =
    field (older schemas) keep their x slot so trend lines stay aligned
    across metrics *)
 let series records key =
-  List.mapi (fun i r -> (i, number (J.member key r))) records
+  List.mapi (fun i r -> (i, number key r)) records
   |> List.filter_map (fun (i, v) ->
          match v with Some v -> Some (i, v) | None -> None)
-
-(* ------------------------------------------------------------------ *)
-(* baseline figures (same extraction as bench_check) *)
-
-let baseline_tps j ~section ~key ~level =
-  match J.member section j with
-  | None -> None
-  | Some s -> (
-      match J.member "runs" s with
-      | Some (J.List runs) ->
-          List.find_map
-            (fun r ->
-              match number (J.member key r) with
-              | Some l when int_of_float l = level ->
-                  number (J.member "trials_per_sec" r)
-              | _ -> None)
-            runs
-      | _ -> None)
-
-let baseline_lane_speedup j =
-  match J.member "lanes" j with
-  | None -> None
-  | Some s -> (
-      match J.member "runs" s with
-      | Some (J.List runs) ->
-          List.find_map
-            (fun r ->
-              match J.member "lanes" r with
-              | Some (J.Int 62) -> number (J.member "speedup_vs_scalar" r)
-              | _ -> None)
-            runs
-      | _ -> None)
-
-let baseline_value baseline key =
-  match key with
-  | "campaign_trials_per_sec_jobs1" ->
-      Option.bind baseline (fun b ->
-          baseline_tps b ~section:"campaign" ~key:"jobs" ~level:1)
-  | "lanes62_speedup" -> Option.bind baseline baseline_lane_speedup
-  | _ -> None
-
-(* bench_check's gate, verbatim: a gated figure regresses when the
-   fresh value falls below baseline * (1 - tolerance) *)
-type verdict = Ok_within of float | Regressed of float | Ungated
-
-let gate ~tolerance ~baseline ~latest =
-  match (baseline, latest) with
-  | Some b, Some c ->
-      let floor = b *. (1.0 -. tolerance) in
-      if c >= floor then Ok_within floor else Regressed floor
-  | _ -> Ungated
 
 (* ------------------------------------------------------------------ *)
 (* HTML / SVG rendering *)
@@ -215,7 +147,7 @@ let render ~history_path ~baseline_path ~tolerance ~records ~warnings
   let n = List.length records in
   let latest_utc =
     match List.rev records with
-    | last :: _ -> Option.value ~default:"?" (jstring (J.member "utc" last))
+    | last :: _ -> utc last
     | [] -> "no records"
   in
   add "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n";
@@ -241,15 +173,15 @@ let render ~history_path ~baseline_path ~tolerance ~records ~warnings
       let latest = match List.rev pts with (_, v) :: _ -> Some v | [] -> None in
       let badge =
         match List.assoc_opt m.m_key verdicts with
-        | Some (Ok_within floor) ->
+        | Some (Gate.Gated { floor; ok = true }) ->
             Printf.sprintf
               "<span class=\"badge ok\">ok (floor %s %s)</span>" (fnum floor)
               m.m_unit
-        | Some (Regressed floor) ->
+        | Some (Gate.Gated { floor; ok = false }) ->
             Printf.sprintf
               "<span class=\"badge bad\">REGRESSED (floor %s %s)</span>"
               (fnum floor) m.m_unit
-        | Some Ungated | None ->
+        | Some Gate.Ungated | None ->
             "<span class=\"badge none\">trend only</span>"
       in
       add
@@ -271,10 +203,10 @@ let render ~history_path ~baseline_path ~tolerance ~records ~warnings
   List.iter
     (fun r ->
       add "<tr><td class=\"utc\">%s</td>"
-        (html_escape (Option.value ~default:"?" (jstring (J.member "utc" r))));
+        (html_escape (utc r));
       List.iter
         (fun m ->
-          match number (J.member m.m_key r) with
+          match number m.m_key r with
           | Some v -> add "<td>%s</td>" (fnum v)
           | None -> add "<td class=\"nodata\">—</td>")
         metrics;
@@ -295,7 +227,7 @@ let () =
   let history = ref "BENCH_history.jsonl" in
   let baseline = ref "BENCH_campaign.json" in
   let out = ref "bench_page.html" in
-  let tolerance = ref 0.35 in
+  let tolerance = ref Gate.default_tolerance in
   let check = ref false in
   let advisory = ref false in
   let rec parse = function
@@ -331,11 +263,10 @@ let () =
   List.iter (Printf.eprintf "bench_page: %s\n") warnings;
   let base =
     if Sys.file_exists !baseline then
-      match J.of_string (read_file !baseline) with
+      match Gate.read_doc !baseline with
       | Ok j -> Some j
       | Error e ->
-          Printf.eprintf "bench_page: baseline %s: unparseable JSON: %s\n"
-            !baseline e;
+          Printf.eprintf "bench_page: baseline %s: %s\n" !baseline e;
           None
     else begin
       Printf.eprintf
@@ -350,34 +281,27 @@ let () =
     | [] -> None
   in
   let verdicts =
-    List.filter_map
-      (fun m ->
-        if not m.m_gated then None
-        else
-          Some
-            ( m.m_key
-            , gate ~tolerance:!tolerance
-                ~baseline:(baseline_value base m.m_key)
-                ~latest:(latest_of m.m_key) ))
-      metrics
+    List.map
+      (fun (f : Gate.figure) ->
+        ( f.history_key
+        , Gate.verdict ~tolerance:!tolerance
+            ~baseline:(Option.bind base f.of_bench)
+            ~fresh:(latest_of f.history_key) ))
+      Gate.figures
   in
   let regressed =
     List.filter_map
-      (function key, Regressed _ -> Some key | _ -> None)
+      (function key, Gate.Gated { ok = false; _ } -> Some key | _ -> None)
       verdicts
   in
   List.iter
     (fun (key, v) ->
       match v with
-      | Ok_within floor ->
-          Printf.printf "bench_page: %-32s latest %10s  floor %10s  ok\n" key
+      | Gate.Gated { floor; ok } ->
+          Printf.printf "bench_page: %-32s latest %10s  floor %10s  %s\n" key
             (Option.fold ~none:"-" ~some:fnum (latest_of key))
             (fnum floor)
-      | Regressed floor ->
-          Printf.printf "bench_page: %-32s latest %10s  floor %10s  REGRESSED\n"
-            key
-            (Option.fold ~none:"-" ~some:fnum (latest_of key))
-            (fnum floor)
+            (if ok then "ok" else "REGRESSED")
       | Ungated ->
           Printf.printf
             "bench_page: %-32s not present on both sides; trend only\n" key)

@@ -120,22 +120,17 @@ let build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive ~strap
 (* ------------------------------------------------------------------ *)
 (* compile *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let do_compile process words bpw bpc spares spare_cols drive strap march
     config_file show_floorplan show_rtl cif_dir =
   let cfg_result =
     match config_file with
     | Some path -> (
-        match Bisram_core.Config_file.of_string (read_file path) with
-        | Ok cfg -> Ok cfg
-        | Error e -> Error (path ^ ": " ^ e)
-        | exception Sys_error e -> Error e)
+        match Json.read_file path with
+        | Error e -> Error e
+        | Ok text ->
+            Result.map_error
+              (fun e -> path ^ ": " ^ e)
+              (Bisram_core.Config_file.of_string text))
     | None ->
         build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive
           ~strap ~march
@@ -978,9 +973,9 @@ let campaign_cmd =
 let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
     events events_level progress status_file =
   let spec_result =
-    match read_file spec_file with
-    | exception Sys_error e -> Error (`Io e)
-    | text -> (
+    match Json.read_file spec_file with
+    | Error e -> Error (`Io e)
+    | Ok text -> (
         match Bisram_explore.Spec.of_string text with
         | Ok s -> Ok s
         | Error e -> Error (`Config (spec_file ^ ": " ^ e)))

@@ -13,7 +13,7 @@ module Obs = Bisram_obs.Obs
 module Events = Bisram_obs.Events
 module Pool = Bisram_parallel.Pool
 module Chaos = Bisram_chaos.Chaos
-module J = Report
+module J = Bisram_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* configuration *)
@@ -829,88 +829,63 @@ let tool_error_json e =
 
    Exact inverses of the renderers above: a record that round-trips
    through parse + re-render yields the same bytes, which is what makes
-   a resumed report byte-identical to an uninterrupted run.  Parsers
-   are total — any unexpected shape is [None], never an exception — so
-   a corrupt checkpoint degrades to recomputation. *)
+   a resumed report byte-identical to an uninterrupted run.  Decoders
+   are total — any unexpected shape is an [Error], never an exception —
+   so a corrupt checkpoint degrades to recomputation. *)
 
-let ( let* ) = Option.bind
-
-let field_int k j =
-  match J.member k j with Some (J.Int i) -> Some i | _ -> None
-
-let field_str k j =
-  match J.member k j with Some (J.String s) -> Some s | _ -> None
-
-let field_bool k j =
-  match J.member k j with Some (J.Bool b) -> Some b | _ -> None
-
-let field_list k j =
-  match J.member k j with Some (J.List l) -> Some l | _ -> None
-
-let all_opt f l =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = f x in
-      Some (y :: acc))
-    l (Some [])
+let ( let* ) = Result.bind
 
 let cell_of_json j =
-  let* row = field_int "row" j in
-  let* col = field_int "col" j in
-  Some { Fault.row; col }
-
-let field_cell k j =
-  let* c = J.member k j in
-  cell_of_json c
+  let* row = J.field "row" J.int j in
+  let* col = J.field "col" J.int j in
+  Ok { Fault.row; col }
 
 let fault_of_json j =
-  let* cls = field_str "class" j in
+  let cell k = J.field k cell_of_json j and flag k = J.field k J.bool j in
+  let* cls = J.field "class" J.string j in
   match cls with
   | "SAF" ->
-      let* c = field_cell "cell" j in
-      let* v = field_bool "value" j in
-      Some (Fault.Stuck_at (c, v))
+      let* c = cell "cell" in
+      let* v = flag "value" in
+      Ok (Fault.Stuck_at (c, v))
   | "TF" ->
-      let* c = field_cell "cell" j in
-      let* up = field_bool "rising" j in
-      Some (Fault.Transition (c, up))
+      let* c = cell "cell" in
+      let* up = flag "rising" in
+      Ok (Fault.Transition (c, up))
   | "SOF" ->
-      let* c = field_cell "cell" j in
-      Some (Fault.Stuck_open c)
+      let* c = cell "cell" in
+      Ok (Fault.Stuck_open c)
   | "CFin" ->
-      let* aggressor = field_cell "aggressor" j in
-      let* victim = field_cell "victim" j in
-      Some (Fault.Coupling_inversion { aggressor; victim })
+      let* aggressor = cell "aggressor" in
+      let* victim = cell "victim" in
+      Ok (Fault.Coupling_inversion { aggressor; victim })
   | "CFid" ->
-      let* aggressor = field_cell "aggressor" j in
-      let* rising = field_bool "rising" j in
-      let* victim = field_cell "victim" j in
-      let* forces = field_bool "forces" j in
-      Some (Fault.Coupling_idempotent { aggressor; rising; victim; forces })
+      let* aggressor = cell "aggressor" in
+      let* rising = flag "rising" in
+      let* victim = cell "victim" in
+      let* forces = flag "forces" in
+      Ok (Fault.Coupling_idempotent { aggressor; rising; victim; forces })
   | "CFst" ->
-      let* aggressor = field_cell "aggressor" j in
-      let* when_state = field_bool "when_state" j in
-      let* victim = field_cell "victim" j in
-      let* reads_as = field_bool "reads_as" j in
-      Some (Fault.State_coupling { aggressor; when_state; victim; reads_as })
+      let* aggressor = cell "aggressor" in
+      let* when_state = flag "when_state" in
+      let* victim = cell "victim" in
+      let* reads_as = flag "reads_as" in
+      Ok (Fault.State_coupling { aggressor; when_state; victim; reads_as })
   | "DRF" ->
-      let* c = field_cell "cell" j in
-      let* v = field_bool "decays_to" j in
-      Some (Fault.Data_retention (c, v))
-  | _ -> None
+      let* c = cell "cell" in
+      let* v = flag "decays_to" in
+      Ok (Fault.Data_retention (c, v))
+  | c -> Error (Printf.sprintf "unknown fault class %S" c)
 
 let failure_of_json j =
-  let* f_trial = field_int "trial" j in
-  let* f_seed = field_int "seed" j in
-  let* f_kind = field_str "kind" j in
-  let* f_flow = field_str "flow" j in
-  let* f_detail = field_str "detail" j in
-  let* faults = field_list "faults" j in
-  let* shrunk = field_list "shrunk" j in
-  let* f_faults = all_opt fault_of_json faults in
-  let* f_shrunk = all_opt fault_of_json shrunk in
-  Some { f_trial; f_seed; f_kind; f_flow; f_detail; f_faults; f_shrunk }
+  let* f_trial = J.field "trial" J.int j in
+  let* f_seed = J.field "seed" J.int j in
+  let* f_kind = J.field "kind" J.string j in
+  let* f_flow = J.field "flow" J.string j in
+  let* f_detail = J.field "detail" J.string j in
+  let* f_faults = J.field "faults" (J.list fault_of_json) j in
+  let* f_shrunk = J.field "shrunk" (J.list fault_of_json) j in
+  Ok { f_trial; f_seed; f_kind; f_flow; f_detail; f_faults; f_shrunk }
 
 (* ------------------------------------------------------------------ *)
 (* trial records: the unit of aggregation and checkpointing
@@ -964,30 +939,27 @@ let record_json r =
   | Rc_error e -> J.Obj (common @ [ ("error", J.String e) ])
 
 let record_of_json j =
-  let* rc_index = field_int "trial" j in
-  let* rc_seed = field_int "seed" j in
-  match field_str "error" j with
-  | Some e -> Some { rc_index; rc_seed; rc_body = Rc_error e }
-  | None ->
-      let* rc_two_pass = field_str "two_pass" j in
-      let* rc_iterated = field_str "iterated" j in
-      if not (class_known rc_two_pass && class_known rc_iterated) then None
+  let* rc_index = J.field "trial" J.int j in
+  let* rc_seed = J.field "seed" J.int j in
+  match J.field "error" J.string j with
+  | Ok e -> Ok { rc_index; rc_seed; rc_body = Rc_error e }
+  | Error _ ->
+      let* rc_two_pass = J.field "two_pass" J.string j in
+      let* rc_iterated = J.field "iterated" J.string j in
+      if not (class_known rc_two_pass && class_known rc_iterated) then
+        Error "unknown outcome class"
       else
-        let* rc_rounds = field_int "rounds" j in
+        let* rc_rounds = J.field "rounds" J.int j in
         let* rc_alloc =
           match J.member "alloc" j with
-          | None -> Some None
+          | None -> Ok None
           | Some a ->
-              let int_of = function J.Int i -> Some i | _ -> None in
-              let* rl = field_list "rows" a in
-              let* cl = field_list "cols" a in
-              let* rows = all_opt int_of rl in
-              let* cols = all_opt int_of cl in
-              Some (Some (rows, cols))
+              let* rows = J.field "rows" (J.list J.int) a in
+              let* cols = J.field "cols" (J.list J.int) a in
+              Ok (Some (rows, cols))
         in
-        let* failures = field_list "failures" j in
-        let* rc_failures = all_opt failure_of_json failures in
-        Some
+        let* rc_failures = J.field "failures" (J.list failure_of_json) j in
+        Ok
           { rc_index
           ; rc_seed
           ; rc_body =
@@ -1144,7 +1116,7 @@ let checkpoint ~path ?(every = 0) ?(resume = false) () =
   if every < 0 then invalid_arg "Campaign.checkpoint: every must be >= 0";
   { ck_path = path; ck_every = every; ck_resume = resume }
 
-let checkpoint_schema = "bisram-campaign-checkpoint/1"
+let checkpoint_schema = "bisram-campaign-checkpoint/2"
 
 (* The trial count and wall-clock budget may legitimately differ
    between the interrupted and the resuming invocation (a resume
@@ -1160,6 +1132,12 @@ let checkpoint_string cfg records =
        ; ("records", J.List (List.map record_json records))
        ])
 
+(* A checkpoint file is the one-line document, a newline, the MD5 hex
+   digest of the document's bytes and a newline.  A well-typed record
+   with a damaged number ("rounds": 1 -> 7) still decodes; the digest
+   is what keeps it from being resumed as a silently wrong result. *)
+let trailer_len = 34
+
 (* Atomic temp + rename in the checkpoint's own directory: a kill at
    any instant leaves either the previous complete snapshot or the new
    one, never a torn file.  Write failures degrade to "no new
@@ -1168,7 +1146,10 @@ let write_checkpoint cfg path records =
   match
     let dir = Filename.dirname path in
     let tmp, oc = Filename.open_temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
-    (try output_string oc (checkpoint_string cfg records)
+    (try
+       let doc = checkpoint_string cfg records in
+       output_string oc doc;
+       Printf.fprintf oc "\n%s\n" (Digest.to_hex (Digest.string doc))
      with e ->
        close_out_noerr oc;
        (try Sys.remove tmp with Sys_error _ -> ());
@@ -1188,60 +1169,56 @@ let write_checkpoint cfg path records =
         "checkpoint.write_failed"
         [ ("path", J.String path); ("error", J.String e) ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+(* The records of a checkpoint file whose digest, schema and config
+   all match [cfg]. *)
+let checkpoint_records cfg text =
+  let n = String.length text in
+  let* doc =
+    if n >= trailer_len && text.[n - 1] = '\n' && text.[n - trailer_len] = '\n'
+    then
+      let doc = String.sub text 0 (n - trailer_len) in
+      if
+        String.equal
+          (Digest.to_hex (Digest.string doc))
+          (String.sub text (n - trailer_len + 1) 32)
+      then Ok doc
+      else Error "digest mismatch"
+    else Error "no digest trailer"
+  in
+  let* doc = J.of_string doc in
+  let* schema = J.field "schema" J.string doc in
+  let* config = J.field "config" Result.ok doc in
+  let* records = J.field "records" (J.list Result.ok) doc in
+  if
+    String.equal schema checkpoint_schema
+    && String.equal (J.to_string config) (J.to_string (compat_json cfg))
+  then Ok records
+  else Error "schema or config mismatch"
 
 (* Load the maximal valid contiguous prefix of a checkpoint.  Any
-   defect — unreadable file, parse error, schema or config mismatch, a
-   record that is out of place or carries the wrong derived seed —
+   defect — unreadable file, digest, parse, schema or config mismatch,
+   a record that is out of place or carries the wrong derived seed —
    degrades to a shorter prefix (or a cold start), never to an error:
    resuming from a damaged checkpoint just recomputes more. *)
 let load_checkpoint cfg path =
-  let reject () =
-    Obs.incr "campaign.checkpoint_rejected";
-    [||]
-  in
   if not (Sys.file_exists path) then [||]
   else
-    match read_file path with
-    | exception Sys_error _ -> reject ()
-    | text -> (
-        match J.of_string text with
-        | Error _ -> reject ()
-        | Ok doc -> (
-            let schema_ok =
-              match J.member "schema" doc with
-              | Some (J.String s) -> String.equal s checkpoint_schema
-              | _ -> false
-            in
-            let config_ok =
-              match J.member "config" doc with
-              | Some c -> String.equal (J.to_string c) (J.to_string (compat_json cfg))
-              | None -> false
-            in
-            if not (schema_ok && config_ok) then reject ()
-            else
-              match J.member "records" doc with
-              | Some (J.List l) ->
-                  let prefix = ref [] in
-                  let expect = ref 0 in
-                  let ok = ref true in
-                  List.iter
-                    (fun rj ->
-                      if !ok then
-                        match record_of_json rj with
-                        | Some r
-                          when r.rc_index = !expect
-                               && r.rc_seed = trial_seed cfg r.rc_index ->
-                            prefix := r :: !prefix;
-                            incr expect
-                        | _ -> ok := false)
-                    l;
-                  Array.of_list (List.rev !prefix)
-              | _ -> reject ()))
+    match Result.bind (J.read_file path) (checkpoint_records cfg) with
+    | Error _ ->
+        Obs.incr "campaign.checkpoint_rejected";
+        [||]
+    | Ok l ->
+        let rec prefix expect acc = function
+          | rj :: rest -> (
+              match record_of_json rj with
+              | Ok r
+                when r.rc_index = expect
+                     && r.rc_seed = trial_seed cfg r.rc_index ->
+                  prefix (expect + 1) (r :: acc) rest
+              | _ -> acc)
+          | [] -> acc
+        in
+        Array.of_list (List.rev (prefix 0 [] l))
 
 (* ------------------------------------------------------------------ *)
 (* the campaign run *)

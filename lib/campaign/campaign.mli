@@ -345,9 +345,9 @@ val run :
 val merge_results : result list -> result
 
 val analytic_yield : config -> float
-val to_json : result -> Report.t
+val to_json : result -> Bisram_obs.Json.t
 val json_string : result -> string
 val pretty_json_string : result -> string
-val fault_json : Bisram_faults.Fault.t -> Report.t
+val fault_json : Bisram_faults.Fault.t -> Bisram_obs.Json.t
 val pp_trial : Format.formatter -> trial -> unit
 val pp_anomaly : Format.formatter -> anomaly -> unit

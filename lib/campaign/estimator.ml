@@ -9,7 +9,7 @@
    repo, identical bytes on every platform that rounds IEEE doubles
    the same way. *)
 
-module J = Report
+module J = Bisram_obs.Json
 module Obs = Bisram_obs.Obs
 module Events = Bisram_obs.Events
 module Defect = Bisram_faults.Defect
@@ -406,7 +406,8 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
 (* ------------------------------------------------------------------ *)
 (* the schema-/3 report *)
 
-let interval_json i = J.interval_json ~lo:i.lo ~hi:i.hi
+(* a confidence interval renders as [{"lo": …, "hi": …}] *)
+let interval_json i = J.Obj [ ("lo", J.Float i.lo); ("hi", J.Float i.hi) ]
 
 let estimate_json est =
   J.Obj

@@ -90,12 +90,6 @@ let path_of t key =
   | Some d ->
       Some (Filename.concat d (Digest.to_hex (Digest.string (full_key key)) ^ ".json"))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* The entry document: the full key travels with the value so a digest
    collision or stale format is detected on read instead of silently
    returning the wrong result, and the value's own serialization is
@@ -124,15 +118,13 @@ let entry_string key value =
        ])
 
 let parse_entry key s =
-  match J.of_string s with
-  | Error _ -> None
-  | Ok doc -> (
-      match (J.member "key" doc, J.member "digest" doc, J.member "value" doc) with
-      | Some (J.String k), Some (J.String d), Some v
-        when String.equal k (full_key key) && String.equal d (value_digest v)
-        ->
-          Some v
-      | _ -> None)
+  let ( let* ) = Result.bind in
+  let* doc = J.of_string s in
+  let* k = J.field "key" J.string doc in
+  let* d = J.field "digest" J.string doc in
+  let* v = J.field "value" Result.ok doc in
+  if String.equal k (full_key key) && String.equal d (value_digest v) then Ok v
+  else Error "key or digest mismatch"
 
 (* An entry that exists but fails verification (invalid JSON, truncated
    bytes, wrong embedded key) is moved aside rather than deleted: the
@@ -160,22 +152,22 @@ let lookup t key =
     | Some path ->
         if not (Sys.file_exists path) then None
         else (
-          match read_file path with
-          | exception Sys_error _ ->
+          match J.read_file path with
+          | Error _ ->
               (* the file is there but unreadable (EIO, permissions):
                  degrade to a miss, recompute uncached *)
               Atomic.incr t.io_errors;
               Obs.incr "cache.io_errors";
               None
-          | s -> (
+          | Ok s -> (
               (* chaos seam: a deterministic injector may hand back a
                  corrupted view of the on-disk bytes *)
               let s =
                 match Chaos.corrupt ~key s with Some c -> c | None -> s
               in
               match parse_entry key s with
-              | Some v -> Some v
-              | None ->
+              | Ok v -> Some v
+              | Error _ ->
                   quarantine t key path;
                   None))
 
@@ -183,8 +175,8 @@ let lookup t key =
    value a later warm run will parse back from the entry's bytes *)
 let normalize key s =
   match parse_entry key s with
-  | Some v -> v
-  | None -> invalid_arg "Cache.memo: evaluator result does not round-trip"
+  | Ok v -> v
+  | Error _ -> invalid_arg "Cache.memo: evaluator result does not round-trip"
 
 (* Store failures (ENOSPC, EIO, a full temp dir, injected chaos) never
    surface to the caller: the value was computed, the run continues

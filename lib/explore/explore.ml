@@ -285,15 +285,10 @@ let evaluations r =
 (* ------------------------------------------------------------------ *)
 (* objective extraction *)
 
-let num = function
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
-
 let eval_field r i ~evaluator ~field =
   match List.assoc_opt evaluator r.evals.(i) with
   | None -> None
-  | Some j -> Option.bind (J.member field j) num
+  | Some j -> Result.to_option (J.field field J.number j)
 
 (* (objective display name, evaluator, field, direction) — the
    frontier of the tentpole: cost, yield, MTTF, area overhead *)

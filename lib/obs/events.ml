@@ -1,6 +1,6 @@
 module Clock = Bisram_parallel.Clock
 
-type level = Debug | Info | Warn
+type level = Shard.level = Debug | Info | Warn
 
 let level_to_string = function
   | Debug -> "debug"
@@ -16,7 +16,7 @@ let level_of_string = function
 let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
 let schema = "bisram-events/1"
 
-type event = {
+type event = Shard.event = {
   ev_seq : int;
   ev_tid : int;
   ev_ts_ns : int64;
@@ -43,40 +43,18 @@ let set_min_level l = Atomic.set min_level_rank (level_rank l)
 let would_log l = enabled () && level_rank l >= Atomic.get min_level_rank
 
 (* ------------------------------------------------------------------ *)
-(* per-domain shards, the Obs pattern: emission is a cons onto memory
-   only the owning domain writes; the registration mutex is taken once
-   per domain, and shards outlive their domain so a drain after a pool
-   join sees the workers' events *)
-
-type shard = {
-  sh_id : int;
-  mutable sh_seq : int;
-  mutable sh_events : event list;  (* newest first *)
-}
-
-let mu = Mutex.create ()
-let all_shards : shard list ref = ref []
-
-let shard_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock mu;
-      let s = { sh_id = List.length !all_shards; sh_seq = 0; sh_events = [] } in
-      all_shards := s :: !all_shards;
-      Mutex.unlock mu;
-      s)
+(* per-domain shards, shared with Obs: emission is a cons onto memory
+   only the owning domain writes *)
 
 let reset () =
-  Mutex.lock mu;
-  List.iter
-    (fun s ->
-      s.sh_seq <- 0;
-      s.sh_events <- [])
-    !all_shards;
-  Mutex.unlock mu
+  Shard.with_all
+    (List.iter (fun (s : Shard.t) ->
+         s.sh_seq <- 0;
+         s.sh_events <- []))
 
 let emit ?(level = Info) ~domain name fields =
   if would_log level then begin
-    let s = Domain.DLS.get shard_key in
+    let s = Shard.get () in
     let seq = s.sh_seq in
     s.sh_seq <- seq + 1;
     s.sh_events <-
@@ -92,17 +70,15 @@ let emit ?(level = Info) ~domain name fields =
   end
 
 let drain () =
-  Mutex.lock mu;
-  let shards = !all_shards in
   let evs =
-    List.fold_left
-      (fun acc s ->
-        let evs = s.sh_events in
-        s.sh_events <- [];
-        List.rev_append evs acc)
-      [] shards
+    Shard.with_all
+      (List.fold_left
+         (fun acc (s : Shard.t) ->
+           let evs = s.sh_events in
+           s.sh_events <- [];
+           List.rev_append evs acc)
+         [])
   in
-  Mutex.unlock mu;
   List.sort
     (fun a b ->
       match Int64.compare a.ev_ts_ns b.ev_ts_ns with
@@ -131,64 +107,34 @@ let to_json ev =
 let ( let* ) = Result.bind
 
 let of_json j =
-  match j with
-  | Json.Obj kvs ->
-      let known =
-        [ "schema"; "seq"; "tid"; "ts_ns"; "level"; "domain"; "name"; "fields" ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc (k, _) ->
-            let* () = acc in
-            if List.mem k known then Ok ()
-            else Error (Printf.sprintf "unknown key %S" k))
-          (Ok ()) kvs
-      in
-      let field k =
-        match List.assoc_opt k kvs with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing key %S" k)
-      in
-      let int_field k =
-        let* v = field k in
-        match v with
-        | Json.Int i -> Ok i
-        | _ -> Error (Printf.sprintf "key %S is not an integer" k)
-      in
-      let string_field k =
-        let* v = field k in
-        match v with
-        | Json.String s -> Ok s
-        | _ -> Error (Printf.sprintf "key %S is not a string" k)
-      in
-      let* sch = string_field "schema" in
-      let* () =
-        if sch = schema then Ok ()
-        else Error (Printf.sprintf "schema is %S, expected %S" sch schema)
-      in
-      let* seq = int_field "seq" in
-      let* tid = int_field "tid" in
-      let* ts = int_field "ts_ns" in
-      let* lvl_s = string_field "level" in
-      let* lvl = level_of_string lvl_s in
-      let* domain = string_field "domain" in
-      let* name = string_field "name" in
-      let* fields =
-        let* v = field "fields" in
-        match v with
-        | Json.Obj fs -> Ok fs
-        | _ -> Error "key \"fields\" is not an object"
-      in
-      Ok
-        { ev_seq = seq
-        ; ev_tid = tid
-        ; ev_ts_ns = Int64.of_int ts
-        ; ev_level = lvl
-        ; ev_domain = domain
-        ; ev_name = name
-        ; ev_fields = fields
-        }
-  | _ -> Error "event is not an object"
+  let* () =
+    Json.closed
+      [ "schema"; "seq"; "tid"; "ts_ns"; "level"; "domain"; "name"; "fields" ]
+      j
+  in
+  let* sch = Json.field "schema" Json.string j in
+  let* () =
+    if sch = schema then Ok ()
+    else Error (Printf.sprintf "schema is %S, expected %S" sch schema)
+  in
+  let* ev_seq = Json.field "seq" Json.int j in
+  let* ev_tid = Json.field "tid" Json.int j in
+  let* ts = Json.field "ts_ns" Json.int j in
+  let* ev_level =
+    Json.field "level" (fun v -> Result.bind (Json.string v) level_of_string) j
+  in
+  let* ev_domain = Json.field "domain" Json.string j in
+  let* ev_name = Json.field "name" Json.string j in
+  let* ev_fields = Json.field "fields" Json.obj j in
+  Ok
+    { ev_seq
+    ; ev_tid
+    ; ev_ts_ns = Int64.of_int ts
+    ; ev_level
+    ; ev_domain
+    ; ev_name
+    ; ev_fields
+    }
 
 let parse_line line =
   let* j = Json.of_string line in

@@ -14,7 +14,8 @@
       unit/batch/lifecycle granularity, so the per-trial path is
       untouched whatever the switch says.
     - {b Wait-free when on.}  Each domain buffers into its own
-      [Domain.DLS] shard; the only lock is taken once per domain at
+      [Domain.DLS] shard (the registry {!Obs} records into too, with
+      its own switch); the only lock is taken once per domain at
       shard registration.  Shards survive their domain, so a drain
       after a pool join sees every worker's events.
     - {b Deterministic payloads, nondeterministic interleaving.}  The
@@ -26,7 +27,7 @@
       report serialization; campaign/explore reports are byte-identical
       with events on or off. *)
 
-type level = Debug | Info | Warn
+type level = Shard.level = Debug | Info | Warn
 
 val level_to_string : level -> string
 val level_of_string : string -> (level, string) result
@@ -34,7 +35,7 @@ val level_of_string : string -> (level, string) result
 (** Per-line schema tag carried by every serialized event. *)
 val schema : string
 
-type event = {
+type event = Shard.event = {
   ev_seq : int;  (** per-shard emission sequence number *)
   ev_tid : int;  (** shard id — one per emitting domain *)
   ev_ts_ns : int64;  (** {!Bisram_parallel.Clock.now_ns} at emission *)

@@ -1,17 +1,9 @@
-let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
-
 let read ~path =
+  let lines =
+    match Json.read_file path with
+    | Ok text -> String.split_on_char '\n' text
+    | Error _ -> []
+  in
   let records = ref [] and warnings = ref [] in
   List.iteri
     (fun i line ->
@@ -23,7 +15,7 @@ let read ~path =
               Printf.sprintf "%s:%d: skipping malformed line: %s" path (i + 1)
                 e
               :: !warnings)
-    (read_lines path);
+    lines;
   (List.rev !records, List.rev !warnings)
 
 (* the identity of a history record: when it was taken and under which

@@ -98,7 +98,7 @@ let to_pretty_string j =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* parsing — used by the smoke gates to validate exporter output *)
+(* parsing *)
 
 exception Parse_error of string
 
@@ -130,7 +130,11 @@ let of_string s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v =
+      match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+      | Some v -> v
+      | None -> fail "invalid \\u escape"
+    in
     pos := !pos + 4;
     v
   in
@@ -296,3 +300,46 @@ let of_string s =
 let member k = function
   | Obj fields -> List.assoc_opt k fields
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* decoding *)
+
+type 'a decoder = t -> ('a, string) result
+
+let field k dec = function
+  | Obj kvs -> (
+      match List.assoc_opt k kvs with
+      | Some v -> Result.map_error (Printf.sprintf "key %S: %s" k) (dec v)
+      | None -> Error (Printf.sprintf "missing key %S" k))
+  | _ -> Error "not an object"
+
+let int = function Int i -> Ok i | _ -> Error "not an integer"
+let string = function String s -> Ok s | _ -> Error "not a string"
+let bool = function Bool b -> Ok b | _ -> Error "not a boolean"
+let obj = function Obj kvs -> Ok kvs | _ -> Error "not an object"
+
+let number = function
+  | Int i -> Ok (float_of_int i)
+  | Float f -> Ok f
+  | _ -> Error "not a number"
+
+let list dec = function
+  | List l ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> Result.bind (dec x) (fun y -> go (y :: acc) rest)
+      in
+      go [] l
+  | _ -> Error "not an array"
+
+let closed known = function
+  | Obj kvs -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k known)) kvs with
+      | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
+      | None -> Ok ())
+  | _ -> Error "not an object"
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error e -> Error e

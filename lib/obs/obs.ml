@@ -7,78 +7,28 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* ------------------------------------------------------------------ *)
-(* per-domain shards
+(* Every domain that touches the registry records into its own
+   {!Shard} (counters, histograms, spans), so the instrumented hot
+   paths never contend: an increment is a hashtable hit plus an int-ref
+   bump on memory only the owning domain writes. *)
 
-   Every domain that touches the registry gets its own shard (via
-   [Domain.DLS]), so the instrumented hot paths never contend: an
-   increment is a hashtable hit plus an int-ref bump on memory only the
-   owning domain writes.  Shards register themselves in a global list
-   (mutex-taken once per domain, at first use) and stay registered after
-   their domain dies, which is what lets {!snapshot} merge the work of
-   pool workers after the joins. *)
+open Shard
 
 let n_buckets = 63
 
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-  h_buckets : int array;  (* index k counts values in [2^k, 2^(k+1)) *)
-}
-
-type span_ev = {
-  sp_name : string;
-  sp_cat : string;
-  sp_arg : (string * int) option;
-  sp_ts : int64;  (* Clock.now_ns at entry *)
-  sp_dur : int64;
-  sp_shard : int;
-}
-
-type shard = {
-  sh_id : int;
-  sh_counters : (string, int ref) Hashtbl.t;
-  sh_hists : (string, hist) Hashtbl.t;
-  mutable sh_spans : span_ev list;
-}
-
-let mu = Mutex.create ()
-let all_shards : shard list ref = ref []
-
-let shard_key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock mu;
-      let s =
-        { sh_id = List.length !all_shards
-        ; sh_counters = Hashtbl.create 32
-        ; sh_hists = Hashtbl.create 16
-        ; sh_spans = []
-        }
-      in
-      all_shards := s :: !all_shards;
-      Mutex.unlock mu;
-      s)
-
-let shard () = Domain.DLS.get shard_key
-
 let reset () =
-  Mutex.lock mu;
-  List.iter
-    (fun s ->
-      Hashtbl.reset s.sh_counters;
-      Hashtbl.reset s.sh_hists;
-      s.sh_spans <- [])
-    !all_shards;
-  Mutex.unlock mu
+  Shard.with_all
+    (List.iter (fun s ->
+         Hashtbl.reset s.sh_counters;
+         Hashtbl.reset s.sh_hists;
+         s.sh_spans <- []))
 
 (* ------------------------------------------------------------------ *)
 (* recording *)
 
 let add name v =
   if enabled () then begin
-    let s = shard () in
+    let s = Shard.get () in
     match Hashtbl.find_opt s.sh_counters name with
     | Some r -> r := !r + v
     | None -> Hashtbl.add s.sh_counters name (ref v)
@@ -92,7 +42,7 @@ let bucket_of v =
 
 let observe name v =
   if enabled () then begin
-    let s = shard () in
+    let s = Shard.get () in
     let h =
       match Hashtbl.find_opt s.sh_hists name with
       | Some h -> h
@@ -123,7 +73,7 @@ let span ?(cat = "span") ?arg name f =
     Fun.protect
       ~finally:(fun () ->
         let t1 = Clock.now_ns () in
-        let s = shard () in
+        let s = Shard.get () in
         s.sh_spans <-
           { sp_name = name
           ; sp_cat = cat
@@ -173,9 +123,7 @@ type snapshot = {
 }
 
 let snapshot () =
-  Mutex.lock mu;
-  let shards = !all_shards in
-  Mutex.unlock mu;
+  let shards = Shard.with_all Fun.id in
   (* counter sums are order-independent, so merging shard-by-shard is
      deterministic whatever the registration order was *)
   let counters : (string, int) Hashtbl.t = Hashtbl.create 32 in

@@ -9,7 +9,8 @@
       {!time} run their thunk directly).  Instrumented hot paths only
       pay that single load.
     - {b Wait-free when on.}  Each domain records into its own shard
-      (a [Domain.DLS] slot), so workers never contend on counters,
+      (a [Domain.DLS] slot, shared with {!Events}, which keeps its own
+      switch), so workers never contend on counters,
       histograms or span buffers.  The only lock is taken once per
       domain, when its shard registers itself.
     - {b Deterministic merge.}  {!snapshot} sums counters and histogram

@@ -5,7 +5,7 @@
 module C = Bisram_campaign.Campaign
 module Sweep = Bisram_campaign.Sweep
 module Shrink = Bisram_campaign.Shrink
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 module F = Bisram_faults.Fault
@@ -428,6 +428,60 @@ let test_checkpoint_corruption_degrades () =
       Alcotest.(check string) "byte-identical despite corrupt checkpoint" full
         (C.json_string r))
 
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bytes path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let test_checkpoint_tamper_rejected () =
+  with_temp_ckpt (fun path ->
+      let cfg = C.make_config ~trials:10 ~seed:23 () in
+      let full = C.json_string (C.run cfg) in
+      ignore
+        (C.run
+           ~checkpoint:(C.checkpoint ~path ~every:2 ())
+           { cfg with C.trials = 6 });
+      (* a well-typed edit: one record's round count 1 -> 7 still
+         decodes, so only the digest can refuse it *)
+      let s = Bytes.of_string (read_bytes path) in
+      let needle = {|"rounds":1,|} in
+      let rec find i =
+        if i + String.length needle > Bytes.length s then
+          Alcotest.fail "no record with one round in the checkpoint"
+        else if Bytes.sub_string s i (String.length needle) = needle then i
+        else find (i + 1)
+      in
+      Bytes.set s (find 0 + String.length needle - 2) '7';
+      write_bytes path (Bytes.to_string s);
+      let r =
+        C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg
+      in
+      Alcotest.(check string) "uninterrupted report" full (C.json_string r);
+      Alcotest.(check int) "nothing resumed" 0 r.C.resumed_trials)
+
+let prop_mutated_checkpoint_resumes_identically =
+  (* whatever 1-3 bytes of a checkpoint are overwritten, resuming from
+     it never raises and reports exactly the uninterrupted run *)
+  (* seed 23 escapes on trial 8, so the snapshot carries failure
+     records (fault lists, detail text) as well as plain outcomes *)
+  let cfg = C.make_config ~trials:10 ~seed:23 () in
+  let full = lazy (C.json_string (C.run cfg)) in
+  let snapshot =
+    lazy
+      (with_temp_ckpt (fun path ->
+           ignore
+             (C.run
+                ~checkpoint:(C.checkpoint ~path ~every:3 ())
+                { cfg with C.trials = 9 });
+           read_bytes path))
+  in
+  QCheck.Test.make ~name:"mutated checkpoint resumes to the same report"
+    ~count:150 Mutate.gen (fun muts ->
+      with_temp_ckpt (fun path ->
+          write_bytes path (Mutate.apply muts (Lazy.force snapshot));
+          let r = C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg in
+          C.json_string r = Lazy.force full))
+
 let test_resume_missing_checkpoint_is_cold () =
   let cfg = C.make_config ~trials:6 ~seed:29 () in
   let cold = C.json_string (C.run cfg) in
@@ -691,6 +745,9 @@ let () =
             test_checkpoint_corruption_degrades
         ; Alcotest.test_case "missing checkpoint is a cold start" `Quick
             test_resume_missing_checkpoint_is_cold
+        ; Alcotest.test_case "tampered checkpoint is recomputed" `Quick
+            test_checkpoint_tamper_rejected
+        ; Mutate.to_alcotest prop_mutated_checkpoint_resumes_identically
         ; Alcotest.test_case "chaos transients absorbed by retries" `Quick
             test_chaos_transients_absorbed
         ; Alcotest.test_case "crashing trials become tool errors" `Quick

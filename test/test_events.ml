@@ -146,6 +146,30 @@ let test_parser_strict () =
   rejected "fields not an object"
     {|{"schema":"bisram-events/1","seq":0,"tid":0,"ts_ns":12,"level":"info","domain":"d","name":"n","fields":[]}|}
 
+let prop_mutated_event_line_never_raises =
+  (* the control character renders as a \u escape, so mutations reach
+     the escape decoder too *)
+  let line =
+    Json.to_string
+      (Events.to_json
+         { Events.ev_seq = 3
+         ; ev_tid = 1
+         ; ev_ts_ns = 123456789L
+         ; ev_level = Events.Warn
+         ; ev_domain = "pool"
+         ; ev_name = "pool.retry"
+         ; ev_fields =
+             [ ("error", Json.String "tab\tbell\007")
+             ; ("f", Json.Float 0.25)
+             ; ("l", Json.List [ Json.Int 1; Json.Bool false; Json.Null ])
+             ]
+         })
+  in
+  QCheck.Test.make ~name:"mutated event line parses or errors" ~count:500
+    Mutate.gen (fun muts ->
+      match Events.parse_line (Mutate.apply muts line) with
+      | Ok _ | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* jobs-invariance of the merged campaign event stream *)
 
@@ -299,6 +323,29 @@ let test_history_append_survives_damage () =
   Alcotest.(check int) "scan warned about the damage" 1 (List.length warnings);
   Alcotest.(check int) "the appended record reads back" 1 (List.length records)
 
+let prop_mutated_history_reads_or_skips =
+  (* every non-blank line is either a record or a warning *)
+  let text =
+    String.concat ""
+      (List.map
+         (fun (utc, tps) ->
+           Json.to_string (record ~utc ~tps) ^ "\n")
+         [ ("2026-01-01T00:00:00Z", 100.5); ("2026-01-02T00:00:00Z", 1e-3) ])
+  in
+  QCheck.Test.make ~name:"mutated history reads or skips lines" ~count:300
+    Mutate.gen (fun muts ->
+      let text = Mutate.apply muts text in
+      let p = temp_path ".jsonl" in
+      write_file p text;
+      let records, warnings = History.read ~path:p in
+      cleanup p;
+      let lines =
+        List.filter
+          (fun l -> String.trim l <> "")
+          (String.split_on_char '\n' text)
+      in
+      List.length records + List.length warnings = List.length lines)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -314,6 +361,7 @@ let () =
     ; ( "schema"
       , [ Alcotest.test_case "round-trip" `Quick test_roundtrip
         ; Alcotest.test_case "strict parser" `Quick test_parser_strict
+        ; Mutate.to_alcotest prop_mutated_event_line_never_raises
         ] )
     ; ( "determinism"
       , [ Alcotest.test_case "jobs-invariant stream" `Quick
@@ -330,5 +378,6 @@ let () =
             test_history_append_dedups
         ; Alcotest.test_case "append survives damaged lines" `Quick
             test_history_append_survives_damage
+        ; Mutate.to_alcotest prop_mutated_history_reads_or_skips
         ] )
     ]

@@ -182,6 +182,52 @@ let test_corrupt_entries_quarantined () =
         (Explore.evaluations warm)
         warm.Explore.cache_hits)
 
+let prop_mutated_entry_hits_or_quarantines =
+  (* a damaged entry is either still the stored value (a hit) or a
+     quarantined miss that recomputes — never a different value, never
+     an exception *)
+  let stored =
+    J.Obj
+      [ ("cost_per_good_die", J.Float 12.375)
+      ; ("repairable", J.Float 0.931)
+      ; ("spares", J.Int 4)
+      ; ("label", J.String "64x8/4")
+      ; ("rows", J.List [ J.Int 16; J.Int 17 ])
+      ]
+  in
+  let recomputed = J.String "recomputed" in
+  (* the entry's file name and bytes, from a scratch cache *)
+  let entry =
+    lazy
+      (let dir = temp_cache_dir () in
+       Fun.protect
+         ~finally:(fun () -> rm_rf dir)
+         (fun () ->
+           let c = Cache.create ~dir ~resume:false () in
+           ignore (Cache.memo c ~key:"k" (fun () -> stored));
+           let name =
+             List.find
+               (fun n -> Filename.check_suffix n ".json")
+               (Array.to_list (Sys.readdir dir))
+           in
+           (name, In_channel.with_open_bin (Filename.concat dir name)
+                    In_channel.input_all)))
+  in
+  QCheck.Test.make ~name:"mutated cache entry hits or quarantines" ~count:300
+    Mutate.gen (fun muts ->
+      let name, bytes = Lazy.force entry in
+      let dir = temp_cache_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+              Out_channel.output_string oc (Mutate.apply muts bytes));
+          let c = Cache.create ~dir ~resume:true () in
+          let v = Cache.memo c ~key:"k" (fun () -> recomputed) in
+          let st = Cache.stats c in
+          (v = stored && st.Cache.st_hits = 1)
+          || (v = recomputed && st.Cache.st_quarantined = 1)))
+
 let test_orphan_tmp_reaped () =
   let s = tiny_spec () in
   let dir = temp_cache_dir () in
@@ -396,6 +442,7 @@ let () =
             test_chaos_cache_corruption_heals
         ; Alcotest.test_case "write failure degrades to uncached" `Quick
             test_chaos_write_failure_degrades
+        ; Mutate.to_alcotest prop_mutated_entry_hits_or_quarantines
         ] )
     ; ( "sharing",
         [ Alcotest.test_case "golden Fig. 4 report" `Quick test_golden_fig4
