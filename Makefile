@@ -1,4 +1,4 @@
-.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism ci clean
+.PHONY: all build test campaign-smoke byte-identity estimator-smoke bench-json bench-smoke bench-check bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism ci clean
 
 all: build
 
@@ -16,44 +16,49 @@ campaign-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
 	  --mix stuck-at --fail-on-anomaly --jobs 2 > /dev/null
 
-# Determinism gate: the parallel report must be byte-identical to the
-# sequential one for the same config and seed, and the lane-batched
-# scheduler (--batch-lanes 62, the default) must be byte-identical to
-# the scalar one (--batch-lanes 1) — with enough trials to form full
-# 62-wide batches and a ragged tail, at both a faulty and a
-# mostly-clean fault load (clean lanes are the ones the batch engine
-# resolves without unpacking, so both paths must be covered).
-campaign-determinism: build
-	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
-	  --mix stuck-at --jobs 1 > .ci-campaign-jobs1.json
-	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
-	  --mix stuck-at --jobs 2 > .ci-campaign-jobs2.json
-	diff .ci-campaign-jobs1.json .ci-campaign-jobs2.json
-	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mix stuck-at --batch-lanes 62 --jobs 2 > .ci-campaign-lanes62.json
-	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mix stuck-at --batch-lanes 1 --jobs 1 > .ci-campaign-lanes1.json
-	diff .ci-campaign-lanes62.json .ci-campaign-lanes1.json
-	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.4 --batch-lanes 62 --jobs 2 \
-	  > .ci-campaign-planes62.json
-	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.4 --batch-lanes 1 --jobs 1 \
-	  > .ci-campaign-planes1.json
-	diff .ci-campaign-planes62.json .ci-campaign-planes1.json
-	rm -f .ci-campaign-jobs1.json .ci-campaign-jobs2.json \
-	  .ci-campaign-lanes62.json .ci-campaign-lanes1.json \
-	  .ci-campaign-planes62.json .ci-campaign-planes1.json
-	@echo "campaign-determinism: OK"
+# Byte-identity gate: the worker count and the lane-batch width are
+# pure throughput knobs, so every config below must give the same
+# report bytes sequentially and scalar (--jobs 1 --batch-lanes 1) as
+# in parallel and lane-batched (--jobs 2 --batch-lanes 62).  The
+# configs cover full 62-wide batches with a ragged tail, a faulty and
+# a mostly-clean fault load (clean lanes are the ones the batch engine
+# resolves without unpacking), the default mix at uniform 2 faults
+# (the traffic of the shared armed-cell kernel), the importance-
+# weighted estimator (its weighted sums accumulate in strict trial
+# order) and every BIRA allocator (fault-list collection rides the
+# batched kernels).
+IDENTITY_CONFIGS = \
+  "--trials 50 --seed 7 --mix stuck-at" \
+  "--trials 130 --seed 7 --mix stuck-at" \
+  "--trials 130 --seed 7 --mode poisson --mean 0.4" \
+  "--trials 130 --seed 7 --faults 2" \
+  "--spares 0 --mix stuck-at --mode poisson --mean 0.05 --seed 7 \
+     --trials 400 --no-shrink --proposal-count-scale 10" \
+  "--trials 40 --seed 11 --mode poisson --mean 3 --spare-cols 2 \
+     --repair bira-greedy" \
+  "--trials 40 --seed 11 --mode poisson --mean 3 --spare-cols 2 \
+     --repair bira-essential" \
+  "--trials 40 --seed 11 --mode poisson --mean 3 --spare-cols 2 \
+     --repair bira-bnb"
 
-# Rare-event estimation gate.  (1) Adaptive stopping must actually
-# save trials: on a rigged low-density config (poisson mean 0.02, zero
+byte-identity: build
+	@for c in $(IDENTITY_CONFIGS); do \
+	  dune exec bin/bisramgen.exe -- campaign $$c --jobs 1 \
+	    --batch-lanes 1 > .ci-identity-a.json && \
+	  dune exec bin/bisramgen.exe -- campaign $$c --jobs 2 \
+	    --batch-lanes 62 > .ci-identity-b.json && \
+	  diff .ci-identity-a.json .ci-identity-b.json || \
+	  { echo "byte-identity: FAILED on $$c"; exit 1; }; \
+	done
+	rm -f .ci-identity-a.json .ci-identity-b.json
+	@echo "byte-identity: OK"
+
+# Rare-event estimation gate: adaptive stopping must actually save
+# trials.  On a rigged low-density config (poisson mean 0.02, zero
 # spare rows, so the repair-failure rate is ~0.0198) the stratified
 # proposal must reach the CI target in strictly fewer trials than
-# naive adaptive sampling.  (2) The importance-weighted report must be
-# byte-identical across --jobs counts — the weighted sums accumulate
-# in strict trial order, so parallel fan-out must not perturb a single
-# float.
+# naive adaptive sampling.  (The importance-weighted report's
+# byte identity across --jobs is checked by byte-identity.)
 estimator-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.02 --seed 7 --jobs 2 --no-shrink \
@@ -67,15 +72,7 @@ estimator-smoke: build
 	n=$$(sed -n 's/^ *"trials_run": \([0-9]*\),*$$/\1/p' .ci-est-naive.json); \
 	echo "estimator-smoke: stratified $$s trials vs naive $$n"; \
 	test "$$s" -lt "$$n"
-	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
-	  --mode poisson --mean 0.05 --seed 7 --trials 400 --no-shrink \
-	  --proposal-count-scale 10 --jobs 1 > .ci-est-is1.json
-	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
-	  --mode poisson --mean 0.05 --seed 7 --trials 400 --no-shrink \
-	  --proposal-count-scale 10 --jobs 2 > .ci-est-is2.json
-	diff .ci-est-is1.json .ci-est-is2.json
-	rm -f .ci-est-strat.json .ci-est-naive.json .ci-est-is1.json \
-	  .ci-est-is2.json
+	rm -f .ci-est-strat.json .ci-est-naive.json
 	@echo "estimator-smoke: OK"
 
 # Machine-readable perf trajectory: campaign throughput at several
@@ -196,29 +193,17 @@ chaos-smoke: build
 
 # 2D BIRA gate: (1) the default row-TLB report must still match the
 # committed golden bytes (test/golden_row_tlb.json) — the BIRA layer
-# must be invisible unless asked for; (2) every BIRA allocator's report
-# must be byte-identical across worker counts and lane widths, since
-# fault-list collection rides the batched kernels; (3) a bogus
-# --repair name must be rejected with the usage exit code (2).
+# must be invisible unless asked for; (2) a bogus --repair name must
+# be rejected with the usage exit code (2).  (Every allocator's byte
+# identity across worker counts and lane widths is checked by
+# byte-identity.)
 bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 60 --seed 7 --jobs 1 \
 	  > .ci-bira-golden.json
 	cmp .ci-bira-golden.json test/golden_row_tlb.json
-	for s in bira-greedy bira-essential bira-bnb; do \
-	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
-	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
-	    --jobs 1 --batch-lanes 1 > .ci-bira-$$s-a.json && \
-	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
-	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
-	    --jobs 2 --batch-lanes 62 > .ci-bira-$$s-b.json && \
-	  diff .ci-bira-$$s-a.json .ci-bira-$$s-b.json || exit 1; \
-	done
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \
 	  > /dev/null 2>&1; test $$? -eq 2
-	rm -f .ci-bira-golden.json .ci-bira-bira-greedy-a.json \
-	  .ci-bira-bira-greedy-b.json .ci-bira-bira-essential-a.json \
-	  .ci-bira-bira-essential-b.json .ci-bira-bira-bnb-a.json \
-	  .ci-bira-bira-bnb-b.json
+	rm -f .ci-bira-golden.json
 	@echo "bira-smoke: OK"
 
 # Crash-recovery gate: a campaign killed mid-run (injected exit 137 at
@@ -242,7 +227,7 @@ resume-determinism: build
 	  .ci-resume.err
 	@echo "resume-determinism: OK"
 
-ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism
+ci: build test campaign-smoke byte-identity estimator-smoke bench-smoke bench-check-advisory obs-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism
 	@echo "ci: OK"
 
 clean:

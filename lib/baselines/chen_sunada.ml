@@ -155,12 +155,8 @@ let delay_penalty ?(entries = 2) p ~org =
   let e = p.Pr.electrical in
   let feature_m = float_of_int p.Pr.feature_nm *. 1e-9 in
   let unit = Sz.balanced e ~feature_m ~drive:1.0 in
-  let log2i n =
-    let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-    go 0 n
-  in
-  let addr_bits = max 1 (log2i org.Org.words) in
-  let tree_depth = max 1 (log2i addr_bits) in
+  let addr_bits = max 1 (Org.log2i org.Org.words) in
+  let tree_depth = max 1 (Org.log2i addr_bits) in
   let stage = Sz.inverter_delay e ~feature_m unit ~cload:(2.0 *. Sz.input_cap e unit) in
   let one_compare = float_of_int (1 + tree_depth) *. stage in
   let mux = stage in

@@ -130,12 +130,8 @@ let delay_penalty p ~org ~word_registers =
      shared encode/drive path *)
   ignore word_registers;
   let row = Tlb_timing.delay p ~org in
-  let log2i n =
-    let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-    go 0 n
-  in
-  let row_bits = max 1 (log2i (Org.rows org)) in
-  let word_bits = max 1 (log2i org.Org.words) in
+  let row_bits = max 1 (Org.log2i (Org.rows org)) in
+  let word_bits = max 1 (Org.log2i org.Org.words) in
   let word_match =
     row.Tlb_timing.match_line *. float_of_int word_bits
     /. float_of_int row_bits

@@ -11,15 +11,11 @@ type estimate = {
 
 let total e = e.match_line +. e.priority_encode +. e.drive_out
 
-let log2i n =
-  let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-  go 0 n
-
 let delay p ~org =
   let e = p.Pr.electrical in
   let feature_m = float_of_int p.Pr.feature_nm *. 1e-9 in
   let lambda_m = float_of_int p.Pr.lambda_nm *. 1e-9 in
-  let addr_bits = max 1 (log2i (Org.rows org)) in
+  let addr_bits = max 1 (Org.log2i (Org.rows org)) in
   let s = max 1 org.Org.spares in
   (* match line: one compare device per address bit discharges the
      shared line; pseudo-NMOS keeper fights the pull-down, so the

@@ -28,17 +28,6 @@ let ram_of_model model =
   ; retention_wait = (fun () -> Model.retention_wait model)
   }
 
-let iter_addresses n order f =
-  match order with
-  | March.Up | March.Either ->
-      for a = 0 to n - 1 do
-        f a
-      done
-  | March.Down ->
-      for a = n - 1 downto 0 do
-        f a
-      done
-
 (* The kernel.  [read] returns the packed value of the word read at an
    address, so the expected-vs-got check is an int compare and a read
    allocates nothing; the [got] word is built only for a failure
@@ -69,21 +58,11 @@ let run_general ram ~read ~width test ~backgrounds ~stop_at_first =
                     background once: the address loop walks flat arrays
                     instead of re-running List.iteri closures, so it
                     allocates nothing per address *)
-                 let n_ops = List.length ops in
-                 let is_write = Array.make n_ops false in
-                 let op_word = Array.make n_ops bg in
-                 List.iteri
-                   (fun i op ->
-                     match op with
-                     | March.W compl ->
-                         is_write.(i) <- true;
-                         if compl then op_word.(i) <- bg_compl
-                     | March.R compl ->
-                         if compl then op_word.(i) <- bg_compl)
-                   ops;
+                 let is_write, op_word = March.op_table ops ~bg ~bg_compl in
+                 let n_ops = Array.length op_word in
                  let op_int = Array.map Word.to_int op_word in
                  let exec () =
-                   iter_addresses ram.words order (fun addr ->
+                   March.iter_addresses ram.words order (fun addr ->
                        for op_idx = 0 to n_ops - 1 do
                          if Array.unsafe_get is_write op_idx then
                            ram.write addr (Array.unsafe_get op_word op_idx)
@@ -163,7 +142,3 @@ let failing_rows org failures =
 
 let op_count test org ~backgrounds =
   March.ops_per_address test * org.Org.words * backgrounds
-
-let pp_failure ppf f =
-  Format.fprintf ppf "bg=%a item=%d op=%d addr=%d expected=%a got=%a" Word.pp
-    f.background f.item f.op f.addr Word.pp f.expected Word.pp f.got

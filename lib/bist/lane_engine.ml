@@ -4,17 +4,6 @@ module Word = Bisram_sram.Word
 
 exception Saturated
 
-let iter_addresses n order f =
-  match order with
-  | March.Up | March.Either ->
-      for a = 0 to n - 1 do
-        f a
-      done
-  | March.Down ->
-      for a = n - 1 downto 0 do
-        f a
-      done
-
 (* One full march application over every lane at once, mirroring
    [Engine.run_general]'s op-table loop: per element the ops are
    resolved against the current background into flat arrays, and each
@@ -29,28 +18,16 @@ let run_pass ?(clear = true) lanes test ~backgrounds =
   (try
      List.iter
        (fun bg ->
-         let bg_compl = Word.lnot_ bg in
+         let bg = Lanes.expand lanes bg
+         and bg_compl = Lanes.expand lanes (Word.lnot_ bg) in
          List.iter
            (fun item ->
              match item with
              | March.Wait -> Lanes.retention_wait lanes
              | March.Elem { order; ops } ->
-                 let n_ops = List.length ops in
-                 let is_write = Array.make n_ops false in
-                 let op_exp =
-                   Array.make n_ops (Lanes.expand lanes bg)
-                 in
-                 let exp_compl = lazy (Lanes.expand lanes bg_compl) in
-                 List.iteri
-                   (fun i op ->
-                     match op with
-                     | March.W compl ->
-                         is_write.(i) <- true;
-                         if compl then op_exp.(i) <- Lazy.force exp_compl
-                     | March.R compl ->
-                         if compl then op_exp.(i) <- Lazy.force exp_compl)
-                   ops;
-                 iter_addresses words order (fun addr ->
+                 let is_write, op_exp = March.op_table ops ~bg ~bg_compl in
+                 let n_ops = Array.length op_exp in
+                 March.iter_addresses words order (fun addr ->
                      for op_idx = 0 to n_ops - 1 do
                        let e = Array.unsafe_get op_exp op_idx in
                        if Array.unsafe_get is_write op_idx then

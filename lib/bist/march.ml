@@ -32,6 +32,22 @@ let reads_per_address t =
 
 let has_retention t = List.exists (fun i -> i = Wait) t.items
 
+let iter_addresses n order f =
+  match order with
+  | Up | Either ->
+      for a = 0 to n - 1 do
+        f a
+      done
+  | Down ->
+      for a = n - 1 downto 0 do
+        f a
+      done
+
+let op_table ops ~bg ~bg_compl =
+  let ops = Array.of_list ops in
+  ( Array.map (function W _ -> true | R _ -> false) ops
+  , Array.map (function W c | R c -> if c then bg_compl else bg) ops )
+
 let string_of_op = function
   | W false -> "w0"
   | W true -> "w1"

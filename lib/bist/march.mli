@@ -36,6 +36,17 @@ val reads_per_address : t -> int
 (** Whether the test contains a retention wait. *)
 val has_retention : t -> bool
 
+(** [iter_addresses n order f] applies [f] to addresses [0 .. n-1] in
+    [order]; [Either] runs ascending. *)
+val iter_addresses : int -> order -> (int -> unit) -> unit
+
+(** [op_table ops ~bg ~bg_compl] resolves an element's ops against one
+    background: element [i] of the first array tells whether op [i]
+    writes, element [i] of the second is its datum ([bg], or
+    [bg_compl] for a complemented op).  The march engines run their
+    address loops over these flat arrays. *)
+val op_table : op list -> bg:'a -> bg_compl:'a -> bool array * 'a array
+
 val to_string : t -> string
 
 (** Parse the ASCII notation. @raise Invalid_argument on syntax error. *)

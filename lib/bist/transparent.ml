@@ -47,17 +47,6 @@ let misr_step sig_ w =
   let rot = ((sig_ lsl 1) lor (sig_ lsr 61)) land ((1 lsl 62) - 1) in
   rot lxor Word.to_int w
 
-let iter_addresses n order f =
-  match order with
-  | March.Up | March.Either ->
-      for a = 0 to n - 1 do
-        f a
-      done
-  | March.Down ->
-      for a = n - 1 downto 0 do
-        f a
-      done
-
 let run (ram : Engine.ram) test =
   let items = split_init test in
   (* initial-content snapshot: the hardware's prediction pass reads the
@@ -71,7 +60,7 @@ let run (ram : Engine.ram) test =
       match item with
       | March.Wait -> ()
       | March.Elem { order; ops } ->
-          iter_addresses ram.Engine.words order (fun addr ->
+          March.iter_addresses ram.Engine.words order (fun addr ->
               List.iter
                 (fun op ->
                   match op with
@@ -86,7 +75,7 @@ let run (ram : Engine.ram) test =
       match item with
       | March.Wait -> ram.Engine.retention_wait ()
       | March.Elem { order; ops } ->
-          iter_addresses ram.Engine.words order (fun addr ->
+          March.iter_addresses ram.Engine.words order (fun addr ->
               List.iter
                 (fun op ->
                   match op with

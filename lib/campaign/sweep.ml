@@ -34,17 +34,38 @@ let patterns org =
   ; ("checker-inv", fun a -> if a land 1 = 0 then alt' else alt)
   ]
 
+(* The one pattern walk: per background, write every address, read it
+   back ascending and descending, wait, and read it once more.  [read]
+   gets the pattern name, phase, address and expected word. *)
+let walk org ~write ~read ~wait =
+  let words = org.Org.words in
+  List.iter
+    (fun (pattern, data) ->
+      for a = 0 to words - 1 do
+        write a (data a)
+      done;
+      for a = 0 to words - 1 do
+        read pattern Read_up a (data a)
+      done;
+      for a = words - 1 downto 0 do
+        read pattern Read_down a (data a)
+      done;
+      wait ();
+      for a = 0 to words - 1 do
+        read pattern Retention a (data a)
+      done)
+    (patterns org)
+
 exception Found of mismatch
 
 let run ?(stop_at_first = false) model =
   let org = Model.org model in
-  let words = org.Org.words and bpw = org.Org.bpw in
+  let bpw = org.Org.bpw in
   (* the backgrounds are built at the model's own [bpw], so reads can be
      compared as packed ints with no width guard; the [got] word is
      built only for a mismatch record *)
   let mismatches = ref [] in
-  let check ~pattern ~phase ~data addr =
-    let expected = data addr in
+  let read pattern phase addr expected =
     let got = Model.read_int model addr in
     if got <> Word.to_int expected then begin
       let m =
@@ -55,22 +76,10 @@ let run ?(stop_at_first = false) model =
     end
   in
   try
-    List.iter
-      (fun (pattern, data) ->
-        for a = 0 to words - 1 do
-          Model.write_word model a (data a)
-        done;
-        for a = 0 to words - 1 do
-          check ~pattern ~phase:Read_up ~data a
-        done;
-        for a = words - 1 downto 0 do
-          check ~pattern ~phase:Read_down ~data a
-        done;
-        Model.retention_wait model;
-        for a = 0 to words - 1 do
-          check ~pattern ~phase:Retention ~data a
-        done)
-      (patterns org);
+    walk org
+      ~write:(fun a w -> Model.write_word model a w)
+      ~read
+      ~wait:(fun () -> Model.retention_wait model);
     List.rev !mismatches
   with Found m -> [ m ]
 
@@ -78,40 +87,25 @@ let clean model = run ~stop_at_first:true model = []
 
 exception Saturated
 
-(* Lane-wise sweep over a batch store: same pattern walk as [run], but
-   the mismatch detail is reduced to a per-lane fail mask (a failing
-   lane is re-swept by the scalar path for the report detail).  No
-   initial clear — like [run], the sweep exercises the array as the
-   flow left it. *)
+(* Lane-wise sweep over a batch store: the same walk, with the mismatch
+   detail reduced to a per-lane fail mask (a failing lane is re-swept
+   by the scalar path for the report detail).  No initial clear — like
+   [run], the sweep exercises the array as the flow left it. *)
 let run_lanes lanes =
   let module Lanes = Bisram_sram.Lanes in
-  let org = Lanes.org lanes in
-  let words = org.Org.words in
   let all = Lanes.all_mask lanes in
   let fail = ref 0 in
-  let check ~data addr =
-    fail := !fail lor Lanes.read_mismatch lanes addr (data addr);
+  let read _pattern _phase addr expected =
+    fail := !fail lor Lanes.read_mismatch lanes addr expected;
     if !fail = all then raise Saturated
   in
-  (try
-     List.iter
-       (fun (_pattern, data) ->
-         for a = 0 to words - 1 do
-           Lanes.write_word lanes a (data a)
-         done;
-         for a = 0 to words - 1 do
-           check ~data a
-         done;
-         for a = words - 1 downto 0 do
-           check ~data a
-         done;
-         Lanes.retention_wait lanes;
-         for a = 0 to words - 1 do
-           check ~data a
-         done)
-       (patterns org);
-     !fail
-   with Saturated -> all)
+  try
+    walk (Lanes.org lanes)
+      ~write:(fun a w -> Lanes.write_word lanes a w)
+      ~read
+      ~wait:(fun () -> Lanes.retention_wait lanes);
+    !fail
+  with Saturated -> all
 
 let pp_mismatch ppf m =
   Format.fprintf ppf "addr %d [%s/%s]: expected %a, got %a" m.addr m.pattern

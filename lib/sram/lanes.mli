@@ -5,20 +5,13 @@
     of that cell, so one int operation advances up to
     {!Word.max_width} trials at once.  Stimulus is broadcast — all
     lanes see the same march/sweep data — while each lane carries its
-    own fault set, armed as per-lane AND/OR/XOR masks:
-
-    - stuck-at: a pin mask and pin value per cell;
-    - transition: a no-rise/no-fall mask blocking the faulted edge;
-    - stuck-open: a keep mask on writes, sense-residue reads;
-    - data retention: a decay mask applied at {!retention_wait};
-    - coupling (inversion/idempotent): per-lane effects fired by the
-      lanes whose aggressor bit actually changed;
-    - state coupling: per-lane read overrides folded in the scalar
-      model's entry order.
-
-    Per lane the semantics equal {!Model}'s per-bit fault machinery
-    exactly (the qcheck differential property in [test_lanes] pins
-    them together); there is deliberately no remap, because the
+    own fault set, armed as per-lane masks in {!Armed} — the same
+    tables and per-cell kernel {!Model} runs on its armed words, so
+    per lane the semantics are {!Model}'s by construction (the qcheck
+    differential property in [test_lanes] also holds every lane
+    against the test-owned per-cell reference).  A row holding no
+    armed cell on any lane is accessed with plain broadcast loads and
+    stores.  There is deliberately no remap, because the
     batched campaign scheduler only resolves lanes whose whole flow is
     clean — their TLB is empty and their remap is the identity. *)
 
@@ -61,8 +54,8 @@ val read_mismatch : t -> int -> Word.t -> int
 
 (** Broadcast expansion of a data word: element [b] is the lane mask
     ([all_mask] or [0]) of data bit [b].  The march engine expands
-    each op's word once per element so the per-address loop touches
-    only int arrays. *)
+    each background once so the per-address loop touches only int
+    arrays. *)
 val expand : t -> Word.t -> int array
 
 (** {!write_word} / {!read_mismatch} on a pre-expanded word. *)

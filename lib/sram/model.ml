@@ -1,17 +1,11 @@
-module F = Bisram_faults.Fault
-
-type agg_effect =
-  | Invert of int (* victim idx *)
-  | Force of { rising : bool; victim : int; forces : bool }
-
 type t = {
   org : Org.t;
   nrows : int;
   cols : int; (* regular physical columns: bpw * bpc *)
-  (* Row stride of the per-cell fault arrays: cols + spare_cols.  Cells
-     at offsets cols .. tcols-1 within a row are the spare columns;
-     they are reachable only through an armed column remap (and by
-     fault arming). *)
+  (* Row stride of a cell index: cols + spare_cols.  Cells at offsets
+     cols .. tcols-1 within a row are the spare columns; they are
+     reachable only through an armed column remap (and by fault
+     arming). *)
   tcols : int;
   bpc : int;
   bpw : int;
@@ -20,15 +14,8 @@ type t = {
      Spare columns: one int per row, bit [k] = cell (row, cols + k). *)
   packed : int array;
   spare : int array;
-  mutable fault_list : F.t list;
-  (* per-cell fault machinery, one slot per physical cell *)
-  pin : bool option array;
-  no_rise : bool array;
-  no_fall : bool array;
-  opens : bool array;
-  retention : bool option array;
-  state_cpl : (int * bool * bool) list array; (* victim -> (agg, state, reads_as) *)
-  agg_effects : agg_effect list array; (* aggressor -> effects *)
+  (* the fault tables over that store, lane bit 1 *)
+  armed : Armed.t;
   mutable residue : int; (* sense-amp residue, bit [io] per I/O *)
   mutable remap : (int -> int) option;
   (* Column steering (2D BIRA): maps a regular physical column to the
@@ -48,12 +35,10 @@ type t = {
   mutable n_rows_cleared : int;
   (* [word_armed] marks every (row, col-mux) word holding an armed cell
      (fault site, coupling aggressor or victim, state-coupling victim):
-     only those words take the per-bit path.  [row_fault] marks the
-     rows holding any armed cell, spare columns included, for teardown
-     and [clear]; [row_written] marks rows whose data may differ from
-     the power-up zeros. *)
+     only those words take the per-bit path.  [Armed] sets and clears
+     it along with its own armed-row marks.  [row_written] marks rows
+     whose data may differ from the power-up zeros. *)
   word_armed : Bytes.t;
-  row_fault : Bytes.t;
   row_written : Bytes.t;
 }
 
@@ -68,24 +53,18 @@ let create org =
          org.Org.bpw Word.max_width);
   let nrows = Org.total_rows org in
   let cols = Org.cols org in
-  let tcols = Org.total_cols org in
-  let ncells = nrows * tcols in
+  let packed = Array.make (nrows * org.Org.bpc) 0 in
+  let spare = Array.make nrows 0 in
+  let word_armed = Bytes.make (nrows * org.Org.bpc) '\000' in
   { org
   ; nrows
   ; cols
-  ; tcols
+  ; tcols = Org.total_cols org
   ; bpc = org.Org.bpc
   ; bpw = org.Org.bpw
-  ; packed = Array.make (nrows * org.Org.bpc) 0
-  ; spare = Array.make nrows 0
-  ; fault_list = []
-  ; pin = Array.make ncells None
-  ; no_rise = Array.make ncells false
-  ; no_fall = Array.make ncells false
-  ; opens = Array.make ncells false
-  ; retention = Array.make ncells None
-  ; state_cpl = Array.make ncells []
-  ; agg_effects = Array.make ncells []
+  ; packed
+  ; spare
+  ; armed = Armed.create org (Armed.Words { packed; spare; word_armed })
   ; residue = 0
   ; remap = None
   ; col_remap = None
@@ -94,53 +73,11 @@ let create org =
   ; n_fast_reads = 0
   ; n_fast_writes = 0
   ; n_rows_cleared = 0
-  ; word_armed = Bytes.make (nrows * org.Org.bpc) '\000'
-  ; row_fault = Bytes.make nrows '\000'
+  ; word_armed
   ; row_written = Bytes.make nrows '\000'
   }
 
-let idx t (c : F.cell) =
-  if c.F.row < 0 || c.F.row >= t.nrows then
-    invalid_arg "Model: fault row out of range";
-  if c.F.col < 0 || c.F.col >= t.tcols then
-    invalid_arg "Model: fault col out of range";
-  (c.F.row * t.tcols) + c.F.col
-
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
-
-(* Arm cell [c]: its word (spare-column cells belong to none) leaves
-   the word path and its row joins the teardown set. *)
-let arm t (c : F.cell) =
-  let i = idx t c in
-  Bytes.unsafe_set t.row_fault c.F.row '\001';
-  if c.F.col < t.cols then
-    Bytes.unsafe_set t.word_armed
-      ((c.F.row * t.bpc) + (c.F.col mod t.bpc))
-      '\001';
-  i
-
-let with_bit x bit v = if v then x lor (1 lsl bit) else x land lnot (1 lsl bit)
-
-(* Cell-granular access for the per-bit fault machinery: a bit of the
-   cell's packed word, or of its row's spare-column int. *)
-let stored t i =
-  let row = i / t.tcols in
-  let c = i - (row * t.tcols) in
-  if c < t.cols then
-    (Array.unsafe_get t.packed ((row * t.bpc) + (c mod t.bpc)) lsr (c / t.bpc))
-    land 1
-    = 1
-  else (Array.unsafe_get t.spare row lsr (c - t.cols)) land 1 = 1
-
-let store t i v =
-  let row = i / t.tcols in
-  let c = i - (row * t.tcols) in
-  if c < t.cols then begin
-    let slot = (row * t.bpc) + (c mod t.bpc) in
-    Array.unsafe_set t.packed slot
-      (with_bit (Array.unsafe_get t.packed slot) (c / t.bpc) v)
-  end
-  else Array.unsafe_set t.spare row (with_bit t.spare.(row) (c - t.cols) v)
 
 let clear t =
   (* power-up fill, dirty rows only: a row holds non-zero data only if
@@ -149,7 +86,7 @@ let clear t =
   for row = 0 to t.nrows - 1 do
     if
       Bytes.unsafe_get t.row_written row <> '\000'
-      || Bytes.unsafe_get t.row_fault row <> '\000'
+      || Bytes.unsafe_get t.armed.Armed.row_armed row <> '\000'
     then begin
       Array.fill t.packed (row * t.bpc) t.bpc 0;
       t.spare.(row) <- 0;
@@ -157,62 +94,20 @@ let clear t =
       t.n_rows_cleared <- t.n_rows_cleared + 1
     end
   done;
-  (* re-assert pinned cells; list order matches the pin-array contents
-     (the last Stuck_at on a cell wins in both) *)
-  List.iter
-    (fun f -> match f with F.Stuck_at (c, v) -> store t (idx t c) v | _ -> ())
-    t.fault_list;
+  Armed.reassert_pins t.armed;
   t.residue <- 0
 
 let set_faults t faults =
-  (* tear down the previous fault machinery, armed rows only *)
-  for row = 0 to t.nrows - 1 do
-    if Bytes.unsafe_get t.row_fault row <> '\000' then begin
-      let off = row * t.tcols in
-      Array.fill t.pin off t.tcols None;
-      Array.fill t.no_rise off t.tcols false;
-      Array.fill t.no_fall off t.tcols false;
-      Array.fill t.opens off t.tcols false;
-      Array.fill t.retention off t.tcols None;
-      Array.fill t.state_cpl off t.tcols [];
-      Array.fill t.agg_effects off t.tcols [];
-      Bytes.fill t.word_armed (row * t.bpc) t.bpc '\000';
-      (* the row may hold non-zero data planted by the old config
-         without [row_written] being set (pin re-assertion in [clear],
-         retention decay, coupling force-stores), so flag it written:
-         once [row_fault] drops, only that flag makes the final [clear]
-         restore the power-up zeros *)
-      mark_row_written t row;
-      Bytes.unsafe_set t.row_fault row '\000'
-    end
-  done;
-  t.fault_list <- faults;
-  List.iter
-    (fun f ->
-      match f with
-      | F.Stuck_at (c, v) -> t.pin.(arm t c) <- Some v
-      | F.Transition (c, up) ->
-          let i = arm t c in
-          if up then t.no_rise.(i) <- true else t.no_fall.(i) <- true
-      | F.Stuck_open c -> t.opens.(arm t c) <- true
-      | F.Data_retention (c, v) -> t.retention.(arm t c) <- Some v
-      | F.Coupling_inversion { aggressor; victim } ->
-          let a = arm t aggressor and v = arm t victim in
-          t.agg_effects.(a) <- Invert v :: t.agg_effects.(a)
-      | F.Coupling_idempotent { aggressor; rising; victim; forces } ->
-          let a = arm t aggressor and v = arm t victim in
-          t.agg_effects.(a) <-
-            Force { rising; victim = v; forces } :: t.agg_effects.(a)
-      | F.State_coupling { aggressor; when_state; victim; reads_as } ->
-          (* only the victim's reads are special; writes to the
-             aggressor stay on the word path because the victim re-reads
-             the aggressor's stored state on every access *)
-          let a = idx t aggressor and v = arm t victim in
-          t.state_cpl.(v) <- (a, when_state, reads_as) :: t.state_cpl.(v))
-    faults;
+  (* an armed row may hold non-zero data planted by the old faults
+     without [row_written] being set (pin re-assertion in [clear],
+     retention decay, coupling force-stores), so flag it written: once
+     its armed mark drops, only that flag makes the final [clear]
+     restore the power-up zeros *)
+  List.iter (fun i -> mark_row_written t (i / t.tcols)) t.armed.Armed.marked;
+  Armed.disarm t.armed;
+  Armed.arm t.armed ~lbit:1 faults;
   clear t
 
-let faults t = t.fault_list
 let set_remap t f = t.remap <- f
 
 let set_col_remap t f =
@@ -227,62 +122,24 @@ let set_col_remap t f =
       done);
   t.col_remap <- f
 
-(* Coupling-driven store: respects pins (a stuck node cannot be flipped
-   by crosstalk) but bypasses transition faults. *)
-let force_store t i v =
-  match t.pin.(i) with Some _ -> () | None -> store t i v
-
-(* A successful state change on cell [i] fires its aggressor effects.
-   The effect walks below are top-level recursions over the model
-   rather than closures, so the per-bit path allocates nothing. *)
-let rec fire_effects t new_v = function
-  | [] -> ()
-  | Invert victim :: rest ->
-      force_store t victim (not (stored t victim));
-      fire_effects t new_v rest
-  | Force { rising; victim; forces } :: rest ->
-      if rising = new_v then force_store t victim forces;
-      fire_effects t new_v rest
-
-let fire_coupling t i ~old_v ~new_v =
-  if old_v <> new_v then fire_effects t new_v t.agg_effects.(i)
-
-let write_bit t i v =
-  if t.opens.(i) then () (* inaccessible cell *)
-  else
-    match t.pin.(i) with
-    | Some _ -> () (* stuck node: write has no effect *)
-    | None ->
-        let old_v = stored t i in
-        let blocked = (v && not old_v && t.no_rise.(i))
-                      || ((not v) && old_v && t.no_fall.(i)) in
-        if not blocked then begin
-          store t i v;
-          fire_coupling t i ~old_v ~new_v:v
-        end
-
-(* State coupling: of the victim's (aggressor, state) pairs, the last
-   one in list order whose aggressor holds [state] decides what the
-   victim reads. *)
-let rec coupled_read t acc = function
-  | [] -> acc
-  | (agg, st, reads_as) :: rest ->
-      coupled_read t (if stored t agg = st then reads_as else acc) rest
-
-let read_bit t ~io i =
-  if t.opens.(i) then (* SOF: the sense amp keeps its residue *)
-    (t.residue lsr io) land 1 = 1
-  else begin
-    let v = coupled_read t (stored t i) t.state_cpl.(i) in
-    t.residue <- with_bit t.residue io v;
-    v
-  end
-
 let physical_row t row =
   match t.remap with None -> row | Some f -> f row
 
 let check_word t w =
   if Word.width w <> t.bpw then invalid_arg "Model: word width mismatch"
+
+(* The physical column of data bit [bit] at mux position [col]: with
+   steering armed every access resolves per bit through the column map
+   (repaired columns land on their spare column). *)
+let phys_col t ~bit ~col =
+  let p = (bit * t.bpc) + col in
+  match t.col_remap with None -> p | Some f -> f p
+
+let write_cells t ~row ~col v =
+  let base = row * t.tcols in
+  for bit = 0 to t.bpw - 1 do
+    Armed.write t.armed (base + phys_col t ~bit ~col) ((v lsr bit) land 1)
+  done
 
 (* A write takes the word path when no column map is armed and the
    target word holds no armed cell: no pins/transition/open faults to
@@ -292,42 +149,30 @@ let write_phys t ~row ~col w =
   check_word t w;
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
+  let slot = (row * t.bpc) + col in
   (match t.col_remap with
-  | None ->
-      let slot = (row * t.bpc) + col in
-      if Bytes.unsafe_get t.word_armed slot = '\000' then begin
-        Array.unsafe_set t.packed slot (Word.to_int w);
-        t.n_fast_writes <- t.n_fast_writes + 1
-      end
-      else
-        for bit = 0 to t.bpw - 1 do
-          write_bit t ((row * t.tcols) + (bit * t.bpc) + col) (Word.get w bit)
-        done
-  | Some f ->
-      (* steering armed: every access resolves per bit through the
-         column map (repaired columns land on their spare column) *)
-      for bit = 0 to t.bpw - 1 do
-        write_bit t ((row * t.tcols) + f ((bit * t.bpc) + col)) (Word.get w bit)
-      done);
+  | None when Bytes.unsafe_get t.word_armed slot = '\000' ->
+      Array.unsafe_set t.packed slot (Word.to_int w);
+      t.n_fast_writes <- t.n_fast_writes + 1
+  | None | Some _ -> write_cells t ~row ~col (Word.to_int w));
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
-(* Per-bit read of a whole word, bits in increasing order: bit [b]
-   refreshes (or, through an open cell, returns) I/O [b]'s residue. *)
+(* Per-bit read of a whole word: bit [b] is read through I/O [b],
+   whose residue only that read uses and refreshes, so the word read
+   is every I/O's new residue. *)
 let read_cells t ~row ~col =
   let base = row * t.tcols in
   let v = ref 0 in
-  (match t.col_remap with
-  | None ->
-      for bit = 0 to t.bpw - 1 do
-        if read_bit t ~io:bit (base + (bit * t.bpc) + col) then
-          v := !v lor (1 lsl bit)
-      done
-  | Some f ->
-      for bit = 0 to t.bpw - 1 do
-        if read_bit t ~io:bit (base + f ((bit * t.bpc) + col)) then
-          v := !v lor (1 lsl bit)
-      done);
+  for bit = 0 to t.bpw - 1 do
+    let r =
+      Armed.read t.armed
+        (base + phys_col t ~bit ~col)
+        ~residue:((t.residue lsr bit) land 1)
+    in
+    v := !v lor (r lsl bit)
+  done;
+  t.residue <- !v;
   !v
 
 (* A read takes the word path when no column map is armed and the word
@@ -363,21 +208,7 @@ let write_word t a w =
 let read_row_word t ~row ~col = Word.of_int ~width:t.bpw (read_phys t ~row ~col)
 let write_row_word t ~row ~col w = write_phys t ~row ~col w
 
-(* Decay is confined to retention-faulty cells, so walking the armed
-   fault list replaces an O(ncells) array scan; for several retention
-   faults on one cell the last one wins. *)
-let rec decay t = function
-  | [] -> ()
-  | F.Data_retention (c, v) :: rest ->
-      let i = idx t c in
-      if t.pin.(i) = None then store t i v;
-      decay t rest
-  | _ :: rest -> decay t rest
-
-let retention_wait t = decay t t.fault_list
-
-let reads t = t.n_reads
-let writes t = t.n_writes
+let retention_wait t = Armed.decay t.armed
 
 type stats = {
   s_reads : int;

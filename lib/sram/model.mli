@@ -12,7 +12,7 @@
     victim) is accessed with a single array load/store of
     {!Word.to_int}/{!Word.of_int} — its read sets the sense residue to
     the word read — while a word holding one runs the per-bit fault
-    machinery on the bits of that same store. *)
+    machinery of {!Armed} on the bits of that same store. *)
 
 type t
 
@@ -21,11 +21,10 @@ type t
 val create : Org.t -> t
 val org : t -> Org.t
 
-(** Install functional faults (replaces any previous set).  Fault cells
-    may lie in spare rows ([row < total_rows]). *)
+(** Install functional faults (replaces any previous set), then
+    {!clear}.  Fault cells may lie in spare rows and spare columns.
+    @raise Invalid_argument on a fault cell outside the array. *)
 val set_faults : t -> Bisram_faults.Fault.t list -> unit
-
-val faults : t -> Bisram_faults.Fault.t list
 
 (** [set_remap t f] installs a logical-row to physical-row translation
     (the TLB's output); [None] restores identity. *)
@@ -65,14 +64,9 @@ val write_row_word : t -> row:int -> col:int -> Word.t -> unit
 (** Retention wait: every data-retention-faulty cell decays. *)
 val retention_wait : t -> unit
 
-(** Number of word reads/writes performed so far (test-length metric). *)
-val reads : t -> int
-
-val writes : t -> int
-
 type stats = {
-  s_reads : int;  (** word reads (= {!reads}) *)
-  s_writes : int;  (** word writes (= {!writes}) *)
+  s_reads : int;  (** word reads (the test-length metric) *)
+  s_writes : int;  (** word writes *)
   s_fast_reads : int;  (** reads served by the word path *)
   s_fast_writes : int;  (** writes served by the word path *)
   s_rows_cleared : int;  (** dirty rows zeroed by {!clear} *)

@@ -8,6 +8,10 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+let log2i n =
+  let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
+  go 0 n
+
 let make ?(spares = 4) ?(spare_cols = 0) ~words ~bpw ~bpc () =
   if not (is_pow2 bpc) then invalid_arg "Org.make: bpc must be a power of 2";
   if not (is_pow2 bpw) then invalid_arg "Org.make: bpw must be a power of 2";

@@ -59,5 +59,8 @@ val cell_col : t -> col:int -> bit:int -> int
     but are never word-simulated.  {!Model.create} enforces this. *)
 val simulable : t -> bool
 
+(** [log2i n] is floor(log2 n) for [n >= 1] (0 for [n <= 1]). *)
+val log2i : int -> int
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

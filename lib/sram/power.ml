@@ -9,10 +9,6 @@ type estimate = {
   vdd : float;
 }
 
-let log2i n =
-  let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-  go 0 n
-
 let estimate p org ~drive =
   assert (drive >= 1.0);
   let e = p.Pr.electrical in
@@ -48,7 +44,7 @@ let estimate p org ~drive =
   let unit_w = 1.5 *. feature_m *. drive in
   let c_gate = E.cgate e ~w:unit_w ~l:feature_m in
   let switching_gates =
-    float_of_int (2 * (log2i org.Org.words + org.Org.bpw + 8))
+    float_of_int (2 * (Org.log2i org.Org.words + org.Org.bpw + 8))
   in
   let e_logic = switching_gates *. c_gate *. vdd *. vdd in
   (* sense amplifiers: bias current during the sensing window (~1 ns) *)

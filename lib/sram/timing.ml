@@ -35,10 +35,6 @@ let wire_c e layer ~length ~width =
   (e.E.cap_area layer *. length *. width)
   +. (e.E.cap_fringe layer *. 2.0 *. (length +. width))
 
-let log2i n =
-  let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-  go 0 n
-
 let access_time p org ~drive =
   assert (drive >= 1.0);
   let e = p.Pr.electrical in
@@ -50,7 +46,7 @@ let access_time p org ~drive =
   let inv g cload = Sz.inverter_delay e ~feature_m g ~cload in
   (* --- address buffer: one sized inverter pair driving the predecode
      fanout (one gate per predecode NAND it feeds) --- *)
-  let row_bits = log2i (Org.rows org) in
+  let row_bits = Org.log2i (Org.rows org) in
   let address_buffer = 2.0 *. inv sized (cunit *. float_of_int (max 2 row_bits)) in
   (* --- row decoder: predecode NAND + final NAND per row + WL driver
      chain.  The decode fanout grows with log(rows). --- *)

@@ -601,6 +601,128 @@ let test_ifa9_beats_zero_one () =
     true
     (Coverage.total_pct ifa > Coverage.total_pct zo)
 
+(* Four engines, fault by fault: every single fault of the exhaustive
+   list runs through the functional engine on [Model], the functional
+   engine over the test-owned per-cell [Sram_reference], the
+   microprogrammed TRPLA controller (detected = not [Passed_clean]) and
+   the lane engine (one fault per lane, 62 lanes per batch).  [Model]
+   and [Lanes] share one fault kernel, so the reference is the
+   independent check of its semantics; the controller checks the
+   march's microprogram.  All four must agree on every fault, and the
+   per-class detected counts are pinned. *)
+
+module Repair = Bisram_bisr.Repair
+module Lanes = Bisram_sram.Lanes
+module Lane_engine = Bisram_bist.Lane_engine
+
+let detected_by_reference org test ~backgrounds fault =
+  let r = Sram_reference.create org in
+  Sram_reference.set_faults r [ fault ];
+  let width = org.Org.bpw in
+  let ram =
+    { Engine.words = org.Org.words
+    ; read = (fun a -> Word.of_int ~width (Sram_reference.read_int r a))
+    ; write = (fun a w -> Sram_reference.write_int r a (Word.to_int w))
+    ; retention_wait = (fun () -> Sram_reference.retention_wait r)
+    }
+  in
+  Engine.run_ram ram test ~backgrounds <> []
+
+(* Lane verdicts of [faults], one fault per lane, 62 lanes a batch. *)
+let detected_by_lanes org test ~backgrounds faults =
+  let faults = Array.of_list faults in
+  let n = Array.length faults and width = 62 in
+  let batch = Lanes.create org ~lanes:width in
+  let verdict = Array.make n false in
+  let start = ref 0 in
+  while !start < n do
+    let k = min width (n - !start) in
+    Lanes.reset batch;
+    for l = 0 to k - 1 do
+      Lanes.arm batch ~lane:l [ faults.(!start + l) ]
+    done;
+    let fail = Lane_engine.run_pass batch test ~backgrounds in
+    for l = 0 to k - 1 do
+      verdict.(!start + l) <- (fail lsr l) land 1 = 1
+    done;
+    start := !start + width
+  done;
+  verdict
+
+(* Runs [test] through the four engines and returns the per-class
+   [(class, detected, injected)] counts, failing on the first fault the
+   engines disagree on. *)
+let four_engine_counts org test faults =
+  let backgrounds = Datagen.required_backgrounds ~bpw:org.Org.bpw in
+  let controller =
+    Controller.compile test ~words:org.Org.words ~backgrounds
+  in
+  let lanes = detected_by_lanes org test ~backgrounds faults in
+  let m = Model.create org in
+  let tally = Hashtbl.create 8 in
+  List.iteri
+    (fun i f ->
+      (* [Repair.run] leaves its TLB remap installed *)
+      Model.set_remap m None;
+      Model.set_faults m [ f ];
+      let engine = not (Engine.passes m test ~backgrounds) in
+      Model.set_faults m [ f ];
+      let ctl =
+        match Repair.run ~controller m test ~backgrounds with
+        | Repair.Passed_clean, _, _ -> false
+        | (Repair.Repaired _ | Repair.Repair_unsuccessful _), _, _ -> true
+      in
+      let reference = detected_by_reference org test ~backgrounds f in
+      if not (engine = ctl && ctl = reference && reference = lanes.(i)) then
+        Alcotest.failf
+          "%s: %s: Engine %b, controller %b, reference %b, lanes %b"
+          test.March.name
+          (Format.asprintf "%a" F.pp f)
+          engine ctl reference lanes.(i);
+      let c = F.class_name f in
+      let d, n = Option.value ~default:(0, 0) (Hashtbl.find_opt tally c) in
+      Hashtbl.replace tally c ((if engine then d + 1 else d), n + 1))
+    faults;
+  List.filter_map
+    (fun c ->
+      Option.map (fun (d, n) -> (c, d, n)) (Hashtbl.find_opt tally c))
+    F.all_class_names
+
+let check_counts name expected got =
+  Alcotest.(check (list (triple string int int))) name expected got
+
+(* 32x4, bpc 2, 4 spare rows, adjacent-word couplings only (3 216
+   faults), IFA-9: every coupling and retention fault is detected, and
+   only the stuck-open cells at element boundaries are. *)
+let test_four_engines_inter_word () =
+  let org = Org.make ~words:32 ~bpw:4 ~bpc:2 ~spares:4 () in
+  let faults = Coverage.exhaustive_faults org in
+  check_counts "IFA-9"
+    [ ("SAF", 256, 256); ("TF", 256, 256); ("SOF", 8, 128); ("CFin", 464, 464)
+    ; ("CFid", 928, 928); ("CFst", 928, 928); ("DRF", 256, 256)
+    ]
+    (four_engine_counts org Alg.ifa_9 faults)
+
+(* 16x4, bpc 4, no spares, same-word couplings included (2 008
+   faults): IFA-9, IFA-13 and March C-.  IFA-9 misses stuck-open cells
+   away from element boundaries (the sense-residue model), IFA-13's
+   read-after-write catches them all, March C- has no retention wait. *)
+let test_four_engines_same_word () =
+  let org = Org.make ~words:16 ~bpw:4 ~bpc:4 ~spares:0 () in
+  let faults = Coverage.exhaustive_faults ~include_same_word:true org in
+  Alcotest.(check int) "fault count" 2008 (List.length faults);
+  let cf = [ ("CFin", 264, 312); ("CFid", 464, 624); ("CFst", 496, 624) ] in
+  let counts ~drf ~sof =
+    [ ("SAF", 128, 128); ("TF", 128, 128); ("SOF", sof, 64) ] @ cf
+    @ [ ("DRF", drf, 128) ]
+  in
+  check_counts "IFA-9" (counts ~drf:128 ~sof:8)
+    (four_engine_counts org Alg.ifa_9 faults);
+  check_counts "IFA-13" (counts ~drf:128 ~sof:64)
+    (four_engine_counts org Alg.ifa_13 faults);
+  check_counts "March C-" (counts ~drf:0 ~sof:8)
+    (four_engine_counts org Alg.march_c_minus faults)
+
 (* ------------------------------------------------------------------ *)
 (* March synthesis *)
 
@@ -711,6 +833,10 @@ let () =
         ; Alcotest.test_case "IFA-13 > IFA-9 on SOF" `Slow
             test_ifa13_beats_ifa9_on_sof
         ; Alcotest.test_case "IFA-9 > Zero-One" `Slow test_ifa9_beats_zero_one
+        ; Alcotest.test_case "four engines agree, same-word 16x4" `Slow
+            test_four_engines_same_word
+        ; Alcotest.test_case "four engines agree, inter-word 32x4" `Slow
+            test_four_engines_inter_word
         ] )
     ; ( "synthesis",
         [ Alcotest.test_case "SAF+TF minimal" `Slow test_synthesis_saf_tf

@@ -642,20 +642,10 @@ let prop_no_silent_escape_stuck_at =
 (* ------------------------------------------------------------------ *)
 (* deterministic work ledger *)
 
-(* The default faulty campaign (64x8, bpc 4, 4 spare rows, IFA-9,
-   row-tlb, uniform 2 faults/trial, seed 42, 400 trials, lanes 62,
-   jobs 1) does a fixed amount of simulated work: these counts are
-   exact, so a change to the simulation kernels that does more or
-   different work shows here without any clock.  The per-bit share of
-   model reads bounds how much of that work leaves the word path. *)
-let test_work_counters_pinned () =
+(* Runs [cfg] at jobs 1, lanes 62 with telemetry on and returns its
+   counters (0 when absent) and the campaign.cycles histogram sum. *)
+let ledger cfg =
   let module Obs = Bisram_obs.Obs in
-  let cfg =
-    C.make_config
-      ~org:(Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
-      ~march:Alg.ifa_9 ~mix:I.default_mix ~mode:(C.Uniform 2)
-      ~repair:C.Row_tlb ~trials:400 ~seed:42 ()
-  in
   Obs.reset ();
   Obs.set_enabled true;
   let snap =
@@ -673,10 +663,30 @@ let test_work_counters_pinned () =
     | Some h -> h.Obs.sum
     | None -> 0
   in
+  (counter, cycles)
+
+(* The default faulty campaign (64x8, bpc 4, 4 spare rows, IFA-9,
+   row-tlb, uniform 2 faults/trial, seed 42, 400 trials, lanes 62,
+   jobs 1) does a fixed amount of simulated work: these counts are
+   exact, so a change to the simulation kernels that does more or
+   different work shows here without any clock.  The per-bit share of
+   model reads bounds how much of that work leaves the word path. *)
+let test_work_counters_pinned () =
+  let counter, cycles =
+    ledger
+      (C.make_config
+         ~org:(Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
+         ~march:Alg.ifa_9 ~mix:I.default_mix ~mode:(C.Uniform 2)
+         ~repair:C.Row_tlb ~trials:400 ~seed:42 ())
+  in
   Alcotest.(check int) "engine.ops" 7_103_360 (counter "engine.ops");
   Alcotest.(check int) "campaign.cycles sum" 2_971_041 cycles;
   Alcotest.(check int) "model.reads" 5_063_126 (counter "model.reads");
   Alcotest.(check int) "model.writes" 4_675_588 (counter "model.writes");
+  Alcotest.(check int) "model.legacy_writes" 78_768
+    (counter "model.legacy_writes");
+  Alcotest.(check int) "campaign.lane_fallbacks" 364
+    (counter "campaign.lane_fallbacks");
   let share =
     float_of_int (counter "model.legacy_reads")
     /. float_of_int (counter "model.reads")
@@ -684,6 +694,28 @@ let test_work_counters_pinned () =
   Alcotest.(check bool)
     (Printf.sprintf "per-bit read share %.4f <= 0.05" share)
     true (share <= 0.05)
+
+(* The BIRA campaign (as above but Poisson mean 5, bira-bnb, 2 spare
+   columns, 200 trials): column steering sends a fifth of the reads
+   down the per-bit path, so this is the ledger of the shared
+   armed-cell kernel's heaviest traffic. *)
+let test_bira_work_counters_pinned () =
+  let counter, _ =
+    ledger
+      (C.make_config
+         ~org:(Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 ())
+         ~march:Alg.ifa_9 ~mix:I.default_mix ~mode:(C.Poisson 5.0)
+         ~repair:(C.Bira Bisram_bira.Bira.Exhaustive) ~trials:200 ~seed:42 ())
+  in
+  List.iter
+    (fun (k, v) -> Alcotest.(check int) k v (counter k))
+    [ ("engine.ops", 7_042_560)
+    ; ("model.reads", 2_167_296)
+    ; ("model.writes", 1_971_712)
+    ; ("model.legacy_reads", 475_296)
+    ; ("model.legacy_writes", 412_432)
+    ; ("campaign.lane_fallbacks", 184)
+    ]
 
 let () =
   Alcotest.run "campaign"
@@ -736,6 +768,8 @@ let () =
     ; ( "ledger"
       , [ Alcotest.test_case "tlb-2f work counters pinned" `Quick
             test_work_counters_pinned
+        ; Alcotest.test_case "bira-p5 work counters pinned" `Quick
+            test_bira_work_counters_pinned
         ] )
     ; ( "resilience"
       , [ QCheck_alcotest.to_alcotest prop_kill_resume_byte_identical

@@ -26,81 +26,122 @@ let retention_only =
   ; data_retention = 1.0
   }
 
+let uniform_mix =
+  { I.stuck_at = 1.0
+  ; transition = 1.0
+  ; stuck_open = 1.0
+  ; coupling_inversion = 1.0
+  ; coupling_idempotent = 1.0
+  ; state_coupling = 1.0
+  ; data_retention = 1.0
+  }
+
 (* ------------------------------------------------------------------ *)
 (* the correctness keystone: per lane, [Lanes] equals the scalar
    [Model] under arbitrary per-lane fault sets and an arbitrary
    broadcast stimulus.  Every read compares every lane's every data
-   bit against its own scalar model. *)
+   bit against its own scalar model and its own [Sram_reference]: the
+   two stores share one fault kernel, so only the independent
+   per-cell reference can catch a fault-semantics bug they both
+   carry. *)
 
 type op = Op_write of int * int | Op_read of int | Op_wait
+
+let ops_gen =
+  QCheck.(
+    triple (int_range 0 1_000_000) (int_range 1 10)
+      (list_of_size (Gen.int_range 1 60) (triple (int_range 0 20) small_nat small_nat)))
+
+let lanes_agree org ~mix ~max_faults (seed, lanes, raw_ops) =
+  let rng = Random.State.make [| 0x1a9e5; seed |] in
+  (* per-lane random fault sets across every class of [mix], sizes
+     0..max_faults so clean lanes and heavily faulted lanes mix within
+     one batch *)
+  let fault_sets =
+    List.init lanes (fun _ ->
+        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org) ~mix
+          ~n:(Random.State.int rng (max_faults + 1)))
+  in
+  let batch = Lanes.create org ~lanes in
+  List.iteri (fun l f -> Lanes.arm batch ~lane:l f) fault_sets;
+  Lanes.clear batch;
+  let models =
+    List.map
+      (fun f ->
+        let m = Model.create org in
+        Model.set_faults m f;
+        m)
+      fault_sets
+  in
+  let refs =
+    List.map
+      (fun f ->
+        let r = Sram_reference.create org in
+        Sram_reference.set_faults r f;
+        r)
+      fault_sets
+  in
+  (* decode the raw generator triples into a stimulus: tag 0-8 a
+     write, 9-18 a read, 19-20 a retention wait *)
+  let ops =
+    List.map
+      (fun (tag, a, d) ->
+        let addr = a mod org.Org.words in
+        if tag < 9 then Op_write (addr, d land ((1 lsl org.Org.bpw) - 1))
+        else if tag < 19 then Op_read addr
+        else Op_wait)
+      raw_ops
+  in
+  List.for_all
+    (fun o ->
+      match o with
+      | Op_write (a, d) ->
+          let w = Word.of_int ~width:org.Org.bpw d in
+          Lanes.write_word batch a w;
+          List.iter (fun m -> Model.write_word m a w) models;
+          List.iter (fun r -> Sram_reference.write_int r a d) refs;
+          true
+      | Op_wait ->
+          Lanes.retention_wait batch;
+          List.iter Model.retention_wait models;
+          List.iter Sram_reference.retention_wait refs;
+          true
+      | Op_read a ->
+          let bits = Lanes.read_bits batch a in
+          List.for_all2
+            (fun (l, m) r ->
+              let w = Word.to_int (Model.read_word m a) in
+              let v = Sram_reference.read_int r a in
+              let lane = ref 0 in
+              Array.iteri
+                (fun b mask -> lane := !lane lor (((mask lsr l) land 1) lsl b))
+                bits;
+              !lane = w && !lane = v)
+            (List.mapi (fun l m -> (l, m)) models)
+            refs)
+    ops
 
 let prop_lanes_equal_scalar_models =
   QCheck.Test.make
     ~name:"every lane of Lanes equals its own scalar Model (differential)"
-    ~count:150
-    QCheck.(
-      triple (int_range 0 1_000_000) (int_range 1 10)
-        (list_of_size (Gen.int_range 1 60) (triple (int_range 0 20) small_nat small_nat)))
-    (fun (seed, lanes, raw_ops) ->
-      let org = Org.make ~words:16 ~bpw:4 ~bpc:2 ~spares:4 () in
-      let rng = Random.State.make [| 0x1a9e5; seed |] in
-      (* per-lane random fault sets across every class of the default
-         mix, sizes 0..4 so clean lanes and heavily faulted lanes mix
-         within one batch *)
-      let fault_sets =
-        List.init lanes (fun _ ->
-            I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
-              ~mix:I.default_mix
-              ~n:(Random.State.int rng 5))
-      in
-      let batch = Lanes.create org ~lanes in
-      List.iteri (fun l f -> Lanes.arm batch ~lane:l f) fault_sets;
-      Lanes.clear batch;
-      let models =
-        List.map
-          (fun f ->
-            let m = Model.create org in
-            Model.set_faults m f;
-            m)
-          fault_sets
-      in
-      (* decode the raw generator triples into a stimulus: tag 0-8 a
-         write, 9-18 a read, 19-20 a retention wait *)
-      let ops =
-        List.map
-          (fun (tag, a, d) ->
-            let addr = a mod org.Org.words in
-            if tag < 9 then Op_write (addr, d mod 16)
-            else if tag < 19 then Op_read addr
-            else Op_wait)
-          raw_ops
-      in
-      List.for_all
-        (fun o ->
-          match o with
-          | Op_write (a, d) ->
-              let w = Word.of_int ~width:4 d in
-              Lanes.write_word batch a w;
-              List.iter (fun m -> Model.write_word m a w) models;
-              true
-          | Op_wait ->
-              Lanes.retention_wait batch;
-              List.iter Model.retention_wait models;
-              true
-          | Op_read a ->
-              let bits = Lanes.read_bits batch a in
-              List.for_all
-                (fun (l, m) ->
-                  let w = Model.read_word m a in
-                  let ok = ref true in
-                  Array.iteri
-                    (fun b mask ->
-                      let lane_bit = (mask lsr l) land 1 = 1 in
-                      if lane_bit <> Word.get w b then ok := false)
-                    bits;
-                  !ok)
-                (List.mapi (fun l m -> (l, m)) models))
-        ops)
+    ~count:150 ops_gen
+    (lanes_agree
+       (Org.make ~words:16 ~bpw:4 ~bpc:2 ~spares:4 ())
+       ~mix:I.default_mix ~max_faults:4)
+
+(* The same on an 8-cell array with up to 8 faults per lane drawn from
+   every class alike, so faults pile up on shared cells: pins under
+   couplings and retention, two state couplings on one victim.  The
+   default-mix sets on the larger array almost never produce these
+   overlaps, where the precedence rules between faults decide the value
+   read. *)
+let prop_dense_faults =
+  QCheck.Test.make
+    ~name:"dense fault sets: every lane equals its Model and the reference"
+    ~count:400 ops_gen
+    (lanes_agree
+       (Org.make ~words:4 ~bpw:2 ~bpc:2 ~spares:0 ())
+       ~mix:uniform_mix ~max_faults:8)
 
 (* A store that ran a batch and was then [reset] and re-armed behaves
    exactly like a fresh store armed the same way: the campaign reuses
@@ -304,6 +345,7 @@ let () =
   Alcotest.run "lanes"
     [ ( "differential"
       , [ QCheck_alcotest.to_alcotest prop_lanes_equal_scalar_models
+        ; QCheck_alcotest.to_alcotest prop_dense_faults
         ; QCheck_alcotest.to_alcotest prop_lane_engine_verdicts
         ; QCheck_alcotest.to_alcotest prop_reset_equals_fresh
         ] )

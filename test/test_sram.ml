@@ -136,8 +136,9 @@ let test_model_rw () =
   Model.write_word m 17 w;
   Alcotest.check word "read back" w (Model.read_word m 17);
   Alcotest.check word "other addr untouched" (Word.zero 8) (Model.read_word m 18);
-  Alcotest.(check int) "write count" 1 (Model.writes m);
-  Alcotest.(check int) "read count" 2 (Model.reads m)
+  let s = Model.stats m in
+  Alcotest.(check int) "write count" 1 s.Model.s_writes;
+  Alcotest.(check int) "read count" 2 s.Model.s_reads
 
 let test_model_all_addresses_independent () =
   let org = small () in
@@ -429,7 +430,8 @@ let drive_model org faults ops =
             None)
       ops
   in
-  ((log, Model.reads m, Model.writes m), Model.stats m)
+  let s = Model.stats m in
+  ((log, s.Model.s_reads, s.Model.s_writes), s)
 
 let drive_reference org faults ops =
   let r = Ref.create org in
